@@ -8,8 +8,8 @@ On a cluster the Job Runner sets RAY_ADDRESS and this script connects to the
 existing session (ray.init() with no args); standalone it starts a local one.
 Output: ONE JSON line of metrics (rows, wall sec, seq/s, partitions written,
 skipped-on-resume counts) — machine-parseable for job orchestration.  Re-run
-with the same --out-dir to resume: finished waves/partitions are skipped via
-their lineage manifests (config fingerprint + input list validated).
+with the same --out-dir to resume: finished waves are skipped via their
+lineage manifests (config fingerprint + input list validated).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def main(argv=None) -> int:
         "levels": {d["level"]: d["count"]
                    for d in res.report.get("stats", {}).get("log_levels", [])},
         "skipped_waves": res.skipped_waves,
-        "skipped_partitions": res.skipped_partitions,
         "out_dir": args.out_dir,
     }))
     return 0

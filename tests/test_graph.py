@@ -584,3 +584,27 @@ def test_widest_path_bounded_matches_reference(ray_session):
     # the strong 2-edge chain (40) beats the weak direct edge (1);
     # random edges may offer an even wider route, never a narrower one
     assert int(got[got["node"] == 1]["width"].iloc[0]) >= 40
+
+
+@pytest.mark.parametrize("fn_name,value_col", [
+    ("bfs_hops", "hop"),
+    ("bellman_ford_bounded", "dist"),
+    ("widest_path_bounded", "width"),
+])
+def test_bounded_walks_empty_edges_distributed(ray_session, fn_name, value_col):
+    """An empty edge Dataset forced onto the distributed path
+    (``driver_limit=0``) returns the same typed empty frame as the driver
+    path, instead of failing on the default seed's empty ``Min``."""
+    import ray.data as rd
+
+    from timberjack_ray.functions import graph
+
+    empty = pa.table({"u": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.int64()),
+                      "w": pa.array([], pa.int64())})
+    fn = getattr(graph, fn_name)
+    out = fn(rd.from_arrow(empty), driver_limit=0)
+    assert list(out.columns) == ["node", value_col]
+    assert len(out) == 0
+    assert out.dtypes.tolist() == [np.dtype("int64")] * 2
+    assert out.dtypes.tolist() == fn(empty.to_pandas()).dtypes.tolist()

@@ -372,6 +372,15 @@ def test_mkv_extraction_rejections():
     laced = mkv.replace(b"\x81\x00\x00\x80", b"\x81\x00\x00\x86", 1)
     with pytest.raises(ValueError, match="laced"):
         _mkv_video_samples(laced)
+    # SimpleBlock cut inside its 3-byte timecode/flags header
+    video = _ebml_elem(0xAE, _ebml_elem(0xD7, b"\x01")
+                       + _ebml_elem(0x83, b"\x01"))
+    cluster = _ebml_elem(0x1F43B675, _ebml_elem(0xE7, b"\x00")
+                         + _ebml_elem(0xA3, b"\x81\x00\x00"))
+    truncated = header + _ebml_elem(
+        0x18538067, _ebml_elem(0x1654AE6B, video) + cluster)
+    with pytest.raises(ValueError, match="truncated Matroska block"):
+        _mkv_video_samples(truncated)
 
 
 def test_mkv_unknown_size_segment():

@@ -1,7 +1,7 @@
 """Router / lineage / resume invariants (north_rule):
 per-sink aggregate-count equality, routed-row token equality,
-resume-from-checkpoint without reprocessing completed work — for both the
-default fanout exchange (wave checkpoints) and shuffle mode (pid checkpoints)."""
+resume-from-checkpoint without reprocessing completed work (wave
+checkpoints)."""
 
 import glob
 import json
@@ -18,7 +18,6 @@ from timberjack_ray.pipelines.analyze import analyze_parquet
 from timberjack_ray.stages.route import (
     AssignPartition,
     build_salt_map,
-    completed_pids,
     completed_waves,
 )
 
@@ -152,36 +151,6 @@ def test_resume_recomputes_missing_kinds(seq_paths, routed):
     assert out3.report["stats"]["unique_messages"] == sorted(o.unique_messages)
 
 
-SHUF = "/tmp/tj_test_routed_shuffle"
-
-
-def test_shuffle_mode_roundtrip(seq_paths, oracle_result):
-    shutil.rmtree(SHUF, ignore_errors=True)
-    out = analyze_parquet(
-        seq_paths, AnalyzeConfig(**CFG), out_dir=SHUF, mode="shuffle",
-        lookup=synth.source_lookup_dict(), num_partitions=12,
-    )
-    assert out.report["total_count"] == oracle_result.count
-    per_level = out.route_metrics.groupby("level")["rows"].sum().to_dict()
-    assert per_level == oracle_result.levels_count
-    # one file per (pid, level)
-    pids = completed_pids(SHUF)
-    assert pids == set(out.route_metrics["pid"].unique())
-    # per-pid resume
-    victims = sorted(pids)[:3]
-    for pid in victims:
-        os.remove(os.path.join(SHUF, "_lineage", f"{pid:05d}.json"))
-        for f in glob.glob(SHUF + f"/level=*/part-{pid:05d}.parquet"):
-            os.remove(f)
-    out2 = analyze_parquet(
-        seq_paths, AnalyzeConfig(**CFG), out_dir=SHUF, mode="shuffle",
-        lookup=synth.source_lookup_dict(), num_partitions=12,
-    )
-    assert out2.skipped_partitions == len(pids) - 3
-    assert set(out2.route_metrics["pid"].unique()) == set(victims)
-    assert out2.report["total_count"] == oracle_result.count
-
-
 def test_salted_partitioning_spreads_hot_source(ray_session):
     t = synth.sequences_table(4000)
     shares = {"app-0": 0.3, "app-1": 0.04}
@@ -247,29 +216,59 @@ def test_rerun_after_compaction_with_new_kinds(seq_paths, oracle_result):
     assert res.report["stats"]["unique_messages"] == sorted(oracle_result.unique_messages)
 
 
-def test_shuffle_mixed_msg_families_resume(seq_paths, oracle_result):
-    """Shuffle-mode sidecars written with real message keys (--show-unique)
-    merge correctly with hashed-key sidecars from a later run (re-hashed at
-    merge; no double counting)."""
-    out = "/tmp/tj_test_shuf_mixed"
-    shutil.rmtree(out, ignore_errors=True)
-    cfg_unique = AnalyzeConfig(trend=True, stats=True, show_unique=True)
-    analyze_parquet(seq_paths, cfg_unique, out_dir=out, mode="shuffle",
-                    lookup=synth.source_lookup_dict(), num_partitions=12)
-    # damage two partitions, rerun WITHOUT show_unique: old sidecars carry
-    # "msg" keys, fresh ones carry "msg#" hashes
-    from timberjack_ray.stages.route import completed_pids
+def _write_lines(path, lines, first_row):
+    import pyarrow as pa
 
-    victims = sorted(completed_pids(out))[:2]
-    for pid in victims:
-        os.remove(os.path.join(out, "_lineage", f"{pid:05d}.json"))
-        for f in glob.glob(out + f"/level=*/part-{pid:05d}.parquet"):
-            os.remove(f)
-    res = analyze_parquet(seq_paths, AnalyzeConfig(trend=True, stats=True),
-                          out_dir=out, mode="shuffle",
-                          lookup=synth.source_lookup_dict(), num_partitions=12)
-    assert res.report["total_count"] == oracle_result.count
-    assert res.report["stats"]["unique_messages_count"] == len(oracle_result.unique_messages)
+    from timberjack_ray import vocab
+
+    idx = range(first_row, first_row + len(lines))
+    tokens = vocab.encode_batch(lines)
+    pq.write_table(pa.table({
+        "doc_id": [f"doc-{i:010d}" for i in idx],
+        "tokens": tokens,
+        "n_tok": pa.array(tokens.value_lengths(), type=pa.int32()),
+        "source": [synth.source_for(i) for i in idx],
+    }), path)
+
+
+def test_wave_mixed_msg_families_resume(seq_paths):
+    """Stored wave counts written with real message keys (--show-unique)
+    merge correctly with hashed-key counts from a later run's fresh wave
+    (re-hashed at merge; no double counting).  Wave 1 repeats wave 0's
+    messages and adds messages found nowhere else, so dropping either
+    family or counting both miscounts the distinct messages."""
+    out = "/tmp/tj_test_wave_mixed"
+    extra_dir = "/tmp/tj_test_wave_mixed_in"
+    for d in (out, extra_dir):
+        shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(extra_dir)
+    lines = [synth.line_for(i) for i in range(2000)]
+    paths = list(seq_paths[:2])
+    for k in range(2):
+        extra = [synth.line_for(i) for i in range(500)] + [
+            f"2025-03-01 00:00:{j:02d},000 [ERROR] wave-one failure {k}-{j}"
+            for j in range(7)]
+        paths.append(os.path.join(extra_dir, f"part-{k}.parquet"))
+        _write_lines(paths[-1], extra, len(lines))
+        lines += extra
+    expected = oracle.analyze_lines(lines, fmt="generic", collect_trends=True,
+                                    collect_stats=True)
+    assert len(expected.unique_messages) > 20 + 14  # 14 only in wave 1
+
+    analyze_parquet(paths, AnalyzeConfig(trend=True, stats=True, show_unique=True),
+                    out_dir=out, wave_files=2, num_partitions=8)
+    # damage wave 0, rerun WITHOUT show_unique: stored wave 1 carries "msg"
+    # keys, the recomputed wave 0 carries "msg#" hashes
+    os.remove(os.path.join(out, "_lineage", "wave-000.json"))
+    for f in glob.glob(out + "/level=*/part-w000-*.parquet"):
+        os.remove(f)
+    for f in glob.glob(out + "/_lineage/w000-p*.json"):
+        os.remove(f)
+    res = analyze_parquet(paths, AnalyzeConfig(trend=True, stats=True),
+                          out_dir=out, wave_files=2, num_partitions=8)
+    assert res.skipped_waves == 1
+    assert res.report["total_count"] == expected.count
+    assert res.report["stats"]["unique_messages_count"] == len(expected.unique_messages)
 
 
 def test_segment_token_sums_trailing_empty_segment():
@@ -316,17 +315,21 @@ def test_wave_resume_mismatch_raises(seq_paths):
     assert res.skipped_waves == 2  # clean resume with the original flags
 
 
-def test_shuffle_resume_mismatch_raises(seq_paths):
-    out = "/tmp/tj_test_fp_shuf"
+def test_single_wave_resume_mismatch_raises(seq_paths):
+    """A run without wave_files is one wave of every input file: a rerun
+    into the same out_dir over other inputs must fail loudly instead of
+    returning the stored counts of the first run."""
+    out = "/tmp/tj_test_fp_single"
     shutil.rmtree(out, ignore_errors=True)
     analyze_parquet(seq_paths[:2], AnalyzeConfig(stats=True), out_dir=out,
-                    mode="shuffle", num_partitions=8)
+                    num_partitions=8)
     with pytest.raises(ValueError, match="resume mismatch"):
-        analyze_parquet(seq_paths[:2], AnalyzeConfig(stats=True, pattern="ERROR"),
-                        out_dir=out, mode="shuffle", num_partitions=8)
+        analyze_parquet(seq_paths[2:7], AnalyzeConfig(stats=True), out_dir=out,
+                        num_partitions=8)
     res = analyze_parquet(seq_paths[:2], AnalyzeConfig(stats=True), out_dir=out,
-                          mode="shuffle", num_partitions=8)
-    assert res.skipped_partitions > 0  # clean resume with the original flags
+                          num_partitions=8)
+    assert res.skipped_waves == 1
+    assert res.report["total_count"] == 2000
 
 
 def test_first_seen_matched_line_order(seq_paths, oracle_result):

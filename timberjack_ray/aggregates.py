@@ -48,6 +48,10 @@ MSG_GUARD_LIMIT = int(__import__("os").environ.get("TJ_MSG_GUARD_LIMIT", 5_000_0
 # driver OOM).
 FOLD_GUARD_LIMIT = int(__import__("os").environ.get("TJ_FOLD_GUARD_LIMIT", 5_000_000))
 
+# Partial tables a driver fold buffers before re-compacting them into one,
+# so its memory stays ~O(distinct keys).
+COMPACT_EVERY = 64
+
 
 def _hex_to_u64(keys: list[str]):
     """Vectorized parse of 16-hex-char msg# keys to uint64 (big-endian)."""
@@ -168,14 +172,13 @@ def _remerge_min_kinds(raw: pa.Table, summed: pa.Table, keys: list[str],
 
 
 def merge_partials(partials_ds, keys: list[str], n_col: str,
-                   compact_every: int = 64,
                    guard: tuple[str, int] | None = None) -> pa.Table:
     """Final merge of partial-count batches, streamed to the driver.
 
     Replaces a Ray ``groupby().aggregate()`` for SMALL result cardinalities:
     partial batches (already collapsed per batch upstream) are folded with
     pyarrow ``group_by`` (C kernels) as they stream in, re-compacting every
-    ``compact_every`` tables so driver memory stays ~O(distinct keys).  Ray's
+    ``COMPACT_EVERY`` tables so driver memory stays ~O(distinct keys).  Ray's
     all-to-all Aggregate op has a multi-second fixed cost that dwarfs these
     tiny merges; the reference's own model is partial-per-chunk + final merge
     (src/analyzer.rs:510-549).
@@ -229,7 +232,7 @@ def merge_partials(partials_ds, keys: list[str], n_col: str,
                 batch = absorb(batch)
             if batch.num_rows:
                 pending.append(batch)
-        if len(pending) >= compact_every:
+        if len(pending) >= COMPACT_EVERY:
             pending = [compact(pending)]
     if not pending and hll is None:
         schema = pa.schema([(k, pa.string()) for k in keys] + [(c, pa.int64()) for c in n_cols])
@@ -296,8 +299,7 @@ def merge_counts_guarded(partials_ds, key_col: str, n_col: str,
                          limit: int | None = None,
                          candidates_per_batch: int = 256,
                          max_candidates: int = 8192,
-                         depth: int = 4, width: int = 1 << 16,
-                         compact_every: int = 64) -> GuardedCounts:
+                         depth: int = 4, width: int = 1 << 16) -> GuardedCounts:
     """Driver fold of (key, n) partial-count batches with a CARDINALITY
     GUARD: exact pyarrow group_by compaction while distinct keys stay under
     ``limit`` (default FOLD_GUARD_LIMIT); past it the fold AUTO-DEGRADES to
@@ -351,7 +353,7 @@ def merge_counts_guarded(partials_ds, key_col: str, n_col: str,
             absorb(b)
             continue
         pending.append(b)
-        if len(pending) >= compact_every:
+        if len(pending) >= COMPACT_EVERY:
             folded = compact(pending)
             pending = [folded]
             if folded.num_rows > limit:

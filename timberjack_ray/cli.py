@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compact sink files after routing (terminal step)")
     p.add_argument("--wave-files", type=int, default=None,
                    help="process input in resumable waves of N files")
-    p.add_argument("--mode", default="fanout", choices=["fanout", "shuffle"],
-                   help="routing exchange: write-side fanout (default) or "
-                        "groupby-per-partition shuffle")
     p.add_argument("--num-partitions", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     return p
@@ -134,13 +131,12 @@ def main(argv=None) -> int:
     if all(p.endswith(".parquet") for p in paths):
         out = analyze_parquet(
             paths, cfg, out_dir=args.route_dir, num_partitions=args.num_partitions,
-            wave_files=args.wave_files, mode=args.mode,
+            wave_files=args.wave_files,
         )
     else:
         # raw text log files — the reference's own input shape
         out = analyze_text(
             paths, cfg, out_dir=args.route_dir, num_partitions=args.num_partitions,
-            mode=args.mode,
         )
     if args.compact and args.route_dir:
         from timberjack_ray.stages.route import compact_routed

@@ -900,6 +900,24 @@ def _bfs_driver(u: np.ndarray, v: np.ndarray, seed: int,
     return out.astype({"node": "int64", "hop": "int64"})
 
 
+def _min_node(edges_ds) -> int | None:
+    """Smallest node id of an edge Dataset (the default seed of the
+    bounded-round walks), or None when it has no edges."""
+    from ray.data.aggregate import Min
+
+    mu = edges_ds.aggregate(Min("u"), Min("v"))
+    if mu["min(u)"] is None:
+        return None
+    return int(min(mu["min(u)"], mu["min(v)"]))
+
+
+def _empty_node_frame(value_col: str) -> pd.DataFrame:
+    """Typed empty (node, value_col) result, as the driver paths return
+    for an empty edge set."""
+    return pd.DataFrame({"node": pd.Series([], dtype="int64"),
+                         value_col: pd.Series([], dtype="int64")})
+
+
 def bfs_hops(edges, seed: int | None = None, rounds: int = 6,
              driver_limit: int = 2_000_000,
              node_limit: int = 2_000_000) -> pd.DataFrame:
@@ -924,8 +942,7 @@ def bfs_hops(edges, seed: int | None = None, rounds: int = 6,
         u = edges["u"].to_numpy().astype(np.int64)
         v = edges["v"].to_numpy().astype(np.int64)
         if not len(u):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "hop": pd.Series([], dtype="int64")})
+            return _empty_node_frame("hop")
         s = int(min(u.min(), v.min())) if seed is None else int(seed)
         return _bfs_driver(u, v, s, rounds)
 
@@ -941,10 +958,9 @@ def bfs_hops(edges, seed: int | None = None, rounds: int = 6,
 
     edges = edges.select_columns(["u", "v"]).materialize()
     if seed is None:
-        from ray.data.aggregate import Min
-
-        mu = edges.aggregate(Min("u"), Min("v"))
-        seed = int(min(mu["min(u)"], mu["min(v)"]))
+        seed = _min_node(edges)
+        if seed is None:
+            return _empty_node_frame("hop")
     dist: dict[int, int] = {int(seed): 0}
     frontier = np.array([seed], dtype=np.int64)
     for hop in range(1, rounds + 1):
@@ -1485,8 +1501,7 @@ def bellman_ford_bounded(edges, seed: int | None = None, rounds: int = 4,
         v = edges["v"].to_numpy().astype(np.int64)
         w = edges[w_col].to_numpy().astype(np.int64)
         if not len(u):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "dist": pd.Series([], dtype="int64")})
+            return _empty_node_frame("dist")
         s = int(min(u.min(), v.min())) if seed is None else int(seed)
         nodes = np.unique(np.concatenate([u, v]))
         big = np.int64(2 ** 62)
@@ -1520,10 +1535,9 @@ def bellman_ford_bounded(edges, seed: int | None = None, rounds: int = 4,
                                     w_col=w_col)
 
     if seed is None:
-        from ray.data.aggregate import Min
-
-        mu = edges.aggregate(Min("u"), Min("v"))
-        seed = int(min(mu["min(u)"], mu["min(v)"]))
+        seed = _min_node(edges)
+        if seed is None:
+            return _empty_node_frame("dist")
     dist: dict[int, int] = {int(seed): 0}
     for _ in range(rounds):
         ks = np.array(sorted(dist), dtype=np.int64)
@@ -1581,8 +1595,7 @@ def bellman_ford_bounded(edges, seed: int | None = None, rounds: int = 4,
         # driver-path parity: seed absent from the edge node set
         dist.pop(int(seed), None)
     out = pd.DataFrame(sorted(dist.items()), columns=["node", "dist"]) \
-        if dist else pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                   "dist": pd.Series([], dtype="int64")})
+        if dist else _empty_node_frame("dist")
     return out.astype("int64")
 
 
@@ -1621,8 +1634,7 @@ def widest_path_bounded(edges, seed: int | None = None, rounds: int = 4,
     v = edges["v"].to_numpy().astype(np.int64)
     w = edges[w_col].to_numpy().astype(np.int64)
     if not len(u):
-        return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                             "width": pd.Series([], dtype="int64")})
+        return _empty_node_frame("width")
     s = int(min(u.min(), v.min())) if seed is None else int(seed)
     nodes = np.unique(np.concatenate([u, v]))
     width = np.full(len(nodes), np.int64(-1))
@@ -1673,10 +1685,9 @@ def _widest_path_distributed(edges_ds, seed, rounds: int, w_col: str,
 
     edges_ds = edges_ds.materialize()
     if seed is None:
-        from ray.data.aggregate import Min
-
-        mu = edges_ds.aggregate(Min("u"), Min("v"))
-        seed = int(min(mu["min(u)"], mu["min(v)"]))
+        seed = _min_node(edges_ds)
+        if seed is None:
+            return _empty_node_frame("width")
     width: dict[int, int] = {int(seed): int(inf_width)}
     NEG = np.int64(-(2 ** 62))
     for _ in range(rounds):
@@ -1737,6 +1748,5 @@ def _widest_path_distributed(edges_ds, seed, rounds: int, w_col: str,
         width.pop(int(seed), None)
     items = [(n_, w_) for n_, w_ in sorted(width.items()) if w_ >= 0]
     out = pd.DataFrame(items, columns=["node", "width"]) \
-        if items else pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                    "width": pd.Series([], dtype="int64")})
+        if items else _empty_node_frame("width")
     return out.astype("int64")

@@ -535,6 +535,8 @@ def _mkv_video_samples(buf: bytes) -> list[bytes]:
 
     def block_payload(blo: int, bhi: int) -> bytes | None:
         tnum, off = _ebml_read_vint(buf, blo, keep_marker=False)
+        if off + 3 > bhi:  # 2-byte timecode + flags byte
+            raise ValueError("truncated Matroska block")
         if tnum != video_track:
             return None
         flags = buf[off + 2]

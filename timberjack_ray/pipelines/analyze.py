@@ -1,8 +1,8 @@
 """Flagship pipeline: read → parse → enrich → route → aggregate.
 
 The Ray-Data-native equivalent of the reference's whole CLI lifecycle
-(src/main.rs:21-213), laid out per SURVEY.md §3.4.  Default physical plan
-(fanout mode) is ONE streaming pass per wave:
+(src/main.rs:21-213), laid out per SURVEY.md §3.4.  With ``out_dir`` the
+physical plan is ONE streaming pass per wave:
 
     read_parquet(wave files)                      # streaming blocks
       → map_batches(AssignPartition)              # pid = hash(source)+salt
@@ -10,14 +10,14 @@ The Ray-Data-native equivalent of the reference's whole CLI lifecycle
       → map_batches(EnrichStage)                  # broadcast source lookup (per-worker cache)
       → map_batches(WriteAndCount)                # per-(pid, level) sink files
                                                   #   + partial aggregate counts, fused
-      → groupby(kind, key).Sum                    # tiny counts shuffle
+      → merge_partials                            # streamed driver fold of the partials
     finalize wave (rename, per-pid lineage, wave manifest)  # driver-side
 
 Routing data never crosses an all-to-all exchange — only the tiny (kind,
-key, n) partials shuffle.  Completed waves are skipped on rerun using their
+key, n) partials reach the driver.  A run without ``wave_files`` is one
+wave of every input file.  Completed waves are skipped on rerun using their
 stored counts (recomputed from the routed files if a rerun needs aggregate
-kinds the stored counts lack).  ``mode="shuffle"`` instead uses
-``groupby(pid).map_groups`` for a strict one-file-per-partition layout.
+kinds the stored counts lack).
 
 Never calls ray.init()/shutdown() — session ownership stays with the caller
 (driver contract in /root/repo/__ray_entry__.py).
@@ -44,15 +44,11 @@ from timberjack_ray.stages.route import (
     build_salt_map,
     cleanup_incomplete_wave,
     completed_waves,
-    filter_completed,
     finalize_wave,
     lineage_metrics,
-    pid_counts,
     read_routed,
-    route_and_write,
     run_fingerprint,
     source_shares,
-    validate_or_write_run_manifest,
     validate_stored_wave,
     wave_counts,
 )
@@ -67,7 +63,6 @@ class AnalyzeOutput:
     fmt: str
     route_metrics: pd.DataFrame | None = None
     skipped_waves: int = 0
-    skipped_partitions: int = 0     # shuffle mode
 
 
 def sample_decoded_lines(ds, k: int = 10) -> list[str]:
@@ -260,17 +255,14 @@ def _counts_to_pandas(counts) -> pd.DataFrame:
     return df
 
 
-def _transform(ds, cfg: AnalyzeConfig, fmt: str, lookup, num_partitions, salt_map,
-               keep_tokens: bool, batch_size=None, with_pid: bool = True):
-    if with_pid:
-        ds = ds.map_batches(
-            AssignPartition(num_partitions, salt_map), batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+def _transform(ds, cfg: AnalyzeConfig, fmt: str, lookup, assign=None):
+    """Parse (+ enrich) ``ds``; a routed run first appends the partition id
+    (``assign``) and keeps the token payload for the sinks."""
+    if assign is not None:
+        ds = ds.map_batches(assign, batch_format="pyarrow")
     parsed = ds.map_batches(
-        ParseStage(cfg=cfg, fmt=fmt, keep_tokens=keep_tokens),
+        ParseStage(cfg=cfg, fmt=fmt, keep_tokens=assign is not None),
         batch_format="pyarrow",
-        batch_size=batch_size,
     )
     if lookup is not None:
         parsed = enrich(parsed, lookup)
@@ -284,33 +276,39 @@ def analyze_dataset(
     lookup: dict | None = None,
     num_partitions: int = 64,
     input_paths=None,
-    hot_threshold: float = 0.05,
-    batch_size: int | None = None,
-    mode: str = "fanout",
     fmt: str | None = None,
 ) -> AnalyzeOutput:
-    """Run the analysis DAG over a sequences Dataset (single wave)."""
+    """Run the analysis DAG over a sequences Dataset; with ``out_dir`` it
+    is routed as one wave.  ``input_paths`` (the Parquet files ``ds`` was
+    read from) feed the format probe and the skew pre-pass, and the wave
+    manifest records them so a resume over other inputs raises.  Callers
+    without a path list (``analyze_text``, in-memory Datasets) resume
+    without that input check — only the filter/format/partition
+    fingerprint is compared."""
+    return _analyze([(ds, input_paths)], cfg, out_dir, lookup, num_partitions, fmt)
+
+
+def _analyze(waves, cfg: AnalyzeConfig, out_dir, lookup, num_partitions,
+             fmt=None) -> AnalyzeOutput:
+    """The one analysis path.  ``waves`` is ``[(Dataset, input paths or
+    None)]``: a single entry unless ``out_dir`` routes several waves."""
+    ds = waves[0][0]
+    paths = [p for _, wpaths in waves for p in wpaths or ()] or None
     if fmt is None:
-        if cfg.fmt == "auto" and input_paths:
-            fmt = cfg.resolve_format(sample_lines_from_paths(input_paths))
-        elif cfg.fmt == "auto":
-            fmt = cfg.resolve_format(sample_decoded_lines(ds))
-        else:
+        if cfg.fmt != "auto":
             fmt = cfg.resolve_format([])
+        elif paths:
+            fmt = cfg.resolve_format(sample_lines_from_paths(paths))
+        else:
+            fmt = cfg.resolve_format(sample_decoded_lines(ds))
 
     if cfg.count:
-        partials = ds.map_batches(
-            CountStage(cfg.pattern, cfg.level), batch_format="pyarrow", batch_size=batch_size
-        )
+        partials = ds.map_batches(CountStage(cfg.pattern, cfg.level), batch_format="pyarrow")
         n = int(partials.sum("n") or 0)
         counts = pd.DataFrame({"kind": ["total"], "key": [""], "n": [n]})
         report = {"matched_lines": [], "total_count": n, "time_trends": None,
                   "stats": None, "deduplicated": True}
         return AnalyzeOutput(report=report, counts=counts, fmt=fmt)
-
-    salt_map = None
-    if out_dir is not None and input_paths is not None:
-        salt_map = build_salt_map(source_shares(input_paths), num_partitions, hot_threshold)
 
     extra_cols: list[str] = []
     if lookup is not None:
@@ -320,13 +318,12 @@ def analyze_dataset(
         extra_cols.append("source")
 
     if out_dir is None:
-        parsed = _transform(ds, cfg, fmt, lookup, num_partitions, salt_map,
-                            keep_tokens=False, batch_size=batch_size, with_pid=False)
+        parsed = _transform(ds, cfg, fmt, lookup)
         tbl = report_counts(
             parsed, want_trend=cfg.trend, want_stats=cfg.stats,
             want_lines=cfg.collect_lines, extra_cols=extra_cols,
             hash_msgs=not cfg.show_unique,
-        order_from=("doc_id" if cfg.first_seen else None), as_table=True,
+            order_from=("doc_id" if cfg.first_seen else None), as_table=True,
         )
         counts, unique, uapprox = _merge_counts([tbl], cfg)
         counts = _counts_to_pandas(counts)
@@ -334,12 +331,10 @@ def analyze_dataset(
                                                     unique_approx=uapprox),
                              counts=counts, fmt=fmt)
 
-    if mode == "shuffle":
-        return _analyze_shuffle(ds, cfg, fmt, out_dir, lookup, num_partitions,
-                                salt_map, extra_cols, batch_size)
-
-    counts, unique, uapprox, skipped = _run_waves([(0, ds, None)], cfg, fmt, out_dir, lookup,
-                                                  num_partitions, salt_map, extra_cols, batch_size)
+    salt_map = (build_salt_map(source_shares(paths), num_partitions)
+                if paths else None)
+    counts, unique, uapprox, skipped = _run_waves(waves, cfg, fmt, out_dir, lookup,
+                                                  num_partitions, salt_map, extra_cols)
     return AnalyzeOutput(
         report=assemble_report(counts, cfg, unique_count=unique, unique_approx=uapprox),
         counts=counts,
@@ -408,77 +403,52 @@ def analyze_parquet(
     cfg: AnalyzeConfig,
     out_dir: str | None = None,
     wave_files: int | None = None,
-    **kwargs,
+    lookup: dict | None = None,
+    num_partitions: int = 64,
 ) -> AnalyzeOutput:
-    """Run over Parquet inputs; with ``out_dir`` + ``wave_files`` the input
-    is processed in resumable waves of that many files."""
+    """Run over Parquet inputs.  With ``out_dir`` the input is routed in
+    resumable waves of ``wave_files`` files (one wave of every file when
+    unset); each wave manifest records its input files, and a resume over
+    other inputs raises.  A count-only run (``cfg.count``) never routes."""
     import ray.data as rd
 
     paths = [paths] if isinstance(paths, str) else list(paths)
-    single_wave = (
-        out_dir is None
-        or wave_files is None
-        or kwargs.get("mode") == "shuffle"
-        or len(paths) <= wave_files
-    )
-    if single_wave:
-        columns = _agg_read_columns(paths, cfg) if out_dir is None else None
+    if out_dir is None or cfg.count:
+        columns = _agg_read_columns(paths, cfg)
         read_kw = {}
-        if out_dir is None:
-            # Aggregate-only reads are driver-overhead-bound on small-to-mid
-            # inputs: Ray's block floor (4×cores via tune_for_cluster, 200
-            # stock) pays ~10 ms/block of scheduling for this short fused
-            # read→parse chain.  Block count scales with input BYTES between
-            # 2×cores (small reads: the 2 M-seq bench measures 0.92 s vs
-            # 1.30 s at 4×) and 4×cores (mid reads: the 8 M-seq stats+trend
-            # bench measures 5.4 s at 4× vs 6.4-8.1 s at 2× — parse-heavy
-            # chains need the finer load-balancing granularity once there
-            # is enough data to amortize scheduling).  Only applied while
-            # blocks stay under the 128 MiB target — at 100 TB the condition
-            # fails and the default size-based splitting takes over.
-            from timberjack_ray.rayctx import cluster_cpus
+        # Aggregate-only reads are driver-overhead-bound on small-to-mid
+        # inputs: Ray's block floor (4×cores via tune_for_cluster, 200
+        # stock) pays ~10 ms/block of scheduling for this short fused
+        # read→parse chain.  Block count scales with input BYTES between
+        # 2×cores (small reads: the 2 M-seq bench measures 0.92 s vs
+        # 1.30 s at 4×) and 4×cores (mid reads: the 8 M-seq stats+trend
+        # bench measures 5.4 s at 4× vs 6.4-8.1 s at 2× — parse-heavy
+        # chains need the finer load-balancing granularity once there
+        # is enough data to amortize scheduling).  Only applied while
+        # blocks stay under the 128 MiB target — at 100 TB the condition
+        # fails and the default size-based splitting takes over.
+        from timberjack_ray.rayctx import cluster_cpus
 
-            cpus = cluster_cpus()
-            try:
-                total = sum(os.path.getsize(p) for p in paths)
-            except OSError:
-                total = None
-            if total is not None:
-                n_blocks = int(min(max(total // (2 << 20), 2 * cpus),
-                                   4 * cpus))
-                if total <= n_blocks * (128 << 20):
-                    read_kw["override_num_blocks"] = n_blocks
-        ds = rd.read_parquet(paths, columns=columns, **read_kw)
-        return analyze_dataset(ds, cfg, out_dir=out_dir, input_paths=paths, **kwargs)
-
-    cfg2 = cfg
-    fmt = cfg.resolve_format(sample_lines_from_paths(paths)) if cfg.fmt == "auto" else cfg.resolve_format([])
-    num_partitions = kwargs.pop("num_partitions", 64)
-    lookup = kwargs.pop("lookup", None)
-    hot_threshold = kwargs.pop("hot_threshold", 0.05)
-    batch_size = kwargs.pop("batch_size", None)
-    salt_map = build_salt_map(source_shares(paths), num_partitions, hot_threshold)
-
-    extra_cols: list[str] = ["source"]
-    if lookup is not None:
-        extra_cols = ["severity", "service", "source"]
-
-    waves = []
-    for w, start in enumerate(range(0, len(paths), wave_files)):
-        wpaths = paths[start : start + wave_files]
-        waves.append((w, rd.read_parquet(wpaths), wpaths))
-
-    counts, unique, uapprox, skipped = _run_waves(waves, cfg2, fmt, out_dir, lookup,
-                                                  num_partitions, salt_map, extra_cols, batch_size)
-    return AnalyzeOutput(
-        report=assemble_report(counts, cfg2, unique_count=unique, unique_approx=uapprox),
-        counts=counts,
-        fmt=fmt, route_metrics=lineage_metrics(out_dir), skipped_waves=skipped,
-    )
+        cpus = cluster_cpus()
+        try:
+            total = sum(os.path.getsize(p) for p in paths)
+        except OSError:
+            total = None
+        if total is not None:
+            n_blocks = int(min(max(total // (2 << 20), 2 * cpus),
+                               4 * cpus))
+            if total <= n_blocks * (128 << 20):
+                read_kw["override_num_blocks"] = n_blocks
+        waves = [(rd.read_parquet(paths, columns=columns, **read_kw), paths)]
+    else:
+        step = wave_files or len(paths)
+        waves = [(rd.read_parquet(paths[i:i + step]), paths[i:i + step])
+                 for i in range(0, len(paths), step)]
+    return _analyze(waves, cfg, out_dir, lookup, num_partitions)
 
 
 def _run_waves(waves, cfg, fmt, out_dir, lookup, num_partitions, salt_map,
-               extra_cols, batch_size):
+               extra_cols):
     """Execute each incomplete wave; merge counts across all waves."""
     os.makedirs(out_dir, exist_ok=True)
     done = completed_waves(out_dir)
@@ -492,7 +462,8 @@ def _run_waves(waves, cfg, fmt, out_dir, lookup, num_partitions, salt_map,
         hash_msgs=not cfg.show_unique,
         order_from=("doc_id" if cfg.first_seen else None),
     )
-    for w, ds, wpaths in waves:
+    assign = AssignPartition(num_partitions, salt_map)
+    for w, (ds, wpaths) in enumerate(waves):
         tmp_dir = os.path.join(out_dir, "_tmp", f"w{w:03d}")
         if w in done:
             validate_stored_wave(out_dir, w, cfg_fp, wpaths)
@@ -518,20 +489,17 @@ def _run_waves(waves, cfg, fmt, out_dir, lookup, num_partitions, salt_map,
                     frames.append(_COMPACTED)
             continue
         cleanup_incomplete_wave(out_dir, w, tmp_dir)
-        parsed = _transform(ds, cfg, fmt, lookup, num_partitions, salt_map,
-                            keep_tokens=True, batch_size=batch_size)
+        parsed = _transform(ds, cfg, fmt, lookup, assign)
         writer = WriteAndCount(tmp_dir, counter=counter)
         # 64k-row writer batches: swept interleaved at 8 CPUs / 8M rows —
         # 16k batches produce ~3400 sink files and a 3.5s driver-side
         # finalize; whole-block batches (None) stall the executor; 64k is
         # ~4× fewer files at identical exec time (finalize ~1s)
         partials = parsed.map_batches(writer, batch_format="pyarrow",
-                                      batch_size=batch_size or 65536)
-        from timberjack_ray.aggregates import merge_partials
-
+                                      batch_size=65536)
         guard = (agg.KIND_MSG_HASH, agg.MSG_GUARD_LIMIT) \
             if (cfg.stats and not cfg.show_unique) else None
-        wtbl = merge_partials(partials, ["kind", "key"], "n", guard=guard)
+        wtbl = agg.merge_partials(partials, ["kind", "key"], "n", guard=guard)
         finalize_wave(out_dir, w, tmp_dir, wtbl, input_files=wpaths, cfg_fp=cfg_fp)
         frames.append(wtbl)
     if any(f is _COMPACTED for f in frames):
@@ -588,60 +556,3 @@ def _recompute_wave_counts(out_dir, wave, cfg, fmt, extra_cols) -> pd.DataFrame:
         hash_msgs=not cfg.show_unique,
         order_from=("doc_id" if cfg.first_seen else None),
     ))
-
-
-def _analyze_shuffle(ds, cfg, fmt, out_dir, lookup, num_partitions, salt_map,
-                     extra_cols, batch_size):
-    """Shuffle-mode routing: one writer per pid, per-pid resume.  Each
-    writer emits its partition's aggregate partial as a sidecar in the SAME
-    pass; totals are the merge of every pid's sidecar (skipped pids
-    included), so neither fresh runs nor resumes reread routed data.  Falls
-    back to a column-pruned read over the routed files only when existing
-    sidecars lack aggregate kinds this run needs."""
-    validate_or_write_run_manifest(out_dir, run_fingerprint(cfg, fmt, num_partitions))
-    ds = ds.map_batches(AssignPartition(num_partitions, salt_map),
-                        batch_format="pyarrow", batch_size=batch_size)
-    ds, skipped = filter_completed(ds, out_dir)
-    parsed = _transform(ds, cfg, fmt, lookup, num_partitions, salt_map,
-                        keep_tokens=True, batch_size=batch_size, with_pid=False)
-    counter = PartialCounts(
-        want_trend=cfg.trend, want_stats=cfg.stats,
-        want_lines=cfg.collect_lines, extra_cols=extra_cols,
-        hash_msgs=not cfg.show_unique,
-        order_from=("doc_id" if cfg.first_seen else None),
-    )
-    route_metrics = route_and_write(parsed, out_dir, counter=counter).to_pandas()
-
-    needed = _needed_kinds(cfg, extra_cols)
-    sidecars = pid_counts(out_dir)
-    if sidecars and all(
-        _counts_satisfy(set(pc.unique(t["kind"]).to_pylist()), needed)
-        for t in sidecars if len(t)
-    ):
-        merged, unique, uapprox = _merge_counts(
-            [_normalize_msg_family(t, want_hash=not cfg.show_unique) for t in sidecars],
-            cfg,
-        )
-        counts = _counts_to_pandas(merged)
-    else:
-        unique = None
-        uapprox = False
-        agg_cols = ["level"] + extra_cols
-        if cfg.trend:
-            agg_cols.append("ts_hour")
-        if cfg.stats:
-            agg_cols += ["message_key", "error_type"]
-        if cfg.collect_lines:
-            agg_cols.append("line")
-        agg_src = read_routed(out_dir, columns=sorted(set(agg_cols)))
-        counts = _counts_to_pandas(report_counts(
-            agg_src, want_trend=cfg.trend, want_stats=cfg.stats,
-            want_lines=cfg.collect_lines, extra_cols=extra_cols,
-            hash_msgs=not cfg.show_unique,
-        order_from=("doc_id" if cfg.first_seen else None),
-        ))
-    return AnalyzeOutput(
-        report=assemble_report(counts, cfg, unique_count=unique, unique_approx=uapprox),
-        counts=counts,
-        fmt=fmt, route_metrics=route_metrics, skipped_partitions=skipped,
-    )

@@ -5,20 +5,15 @@ sinks; partitioning explicit — hash(source) with SALTED keys for hot-source
 skew; every partition emits lineage + metrics records enabling
 resume-from-checkpoint without reprocessing completed work.
 
-Two physical exchanges are provided:
-
-* ``fanout`` (default) — NO all-to-all: every parse task writes its batch's
-  rows directly into per-(pid, level) files (the "exchange" is the shared
-  filesystem / object store, exactly how production engines do partitioned
-  writes at scale), and emits partial aggregate counts in the same pass, so
-  the whole flagship pipeline is ONE streaming pass + one tiny counts
-  shuffle.  Input files are processed in WAVES; each wave finalizes
-  atomically (tmp → rename, per-pid lineage, wave manifest with the wave's
-  aggregate counts), so a rerun skips completed waves without reprocessing
-  and a crashed wave is cleaned up and redone.
-* ``shuffle`` — ``groupby(pid).map_groups`` giving exactly one writer per
-  partition (one file per pid per level).  Costs a full sort/shuffle of the
-  data; use when single-file-per-partition output layout is required.
+The exchange has NO all-to-all step: every parse task writes its batch's
+rows directly into per-(pid, level) files (the "exchange" is the shared
+filesystem / object store, exactly how production engines do partitioned
+writes at scale), and emits partial aggregate counts in the same pass, so
+the whole flagship pipeline is ONE streaming pass + one tiny counts merge.
+Input files are processed in WAVES; each wave finalizes atomically (tmp →
+rename, per-pid lineage, wave manifest with the wave's aggregate counts),
+so a rerun skips completed waves without reprocessing and a crashed wave is
+cleaned up and redone.
 
 Partition id: ``pid = (stable_hash(source) + salt) % P`` with
 ``salt = stable_hash(doc_id) % n_salts(source)``; hot sources (share ≥
@@ -26,7 +21,7 @@ threshold, measured by a cheap single-column pre-pass) get enough salts to
 spread across the cluster, cold sources stay co-located.  All hashes are
 process-stable (crc32 / siphash), never Python's randomized ``hash()``.
 
-Output layout (fanout):
+Output layout:
     out_dir/level=ERROR/part-w000-p00007-3f2a.parquet
     out_dir/_lineage/w000-p00007.json        # per-(wave, pid) lineage
     out_dir/_lineage/wave-000.json           # wave manifest (atomic last)
@@ -155,20 +150,6 @@ def _atomic_json(path: str, obj) -> None:
     os.replace(tmp, path)
 
 
-# ---------------------------------------------------------------------------
-# fanout exchange (default)
-# ---------------------------------------------------------------------------
-
-def _row_token_sums(tokens_col) -> np.ndarray:
-    """Per-row sum of the token arrays, fully vectorized (cumsum trick)."""
-    arr = tokens_col.combine_chunks() if isinstance(tokens_col, pa.ChunkedArray) else tokens_col
-    values = np.asarray(arr.flatten(), dtype=np.int64)
-    offsets = np.asarray(arr.offsets, dtype=np.int64)
-    offsets = offsets - offsets[0]
-    cs = np.concatenate([[0], np.cumsum(values)])
-    return cs[offsets[1:]] - cs[offsets[:-1]]
-
-
 def _segment_token_sums(tokens_col, seg_starts: np.ndarray) -> np.ndarray:
     """Token-value sums per row segment [seg_starts[i], seg_starts[i+1]) in a
     single ``np.add.reduceat`` pass — no per-row cumsum materialization (the
@@ -209,21 +190,17 @@ class WriteAndCount:
         kind="sink"        key=level → routed rows
         kind="sink_tokens" key=level → token checksum
 
-    Sink files are SLIM by default: derived string columns (line, ts_hour,
+    Sink files are SLIM: derived string columns (line, ts_hour,
     message_key, error_type) are counted but not persisted — they re-derive
     from the token payload (ParseStage over the routed files), and at 100 TB
     the detokenized line column alone would roughly double the output bytes.
-    Pass ``slim=False`` to persist every column.
     """
 
     DERIVED_COLS = ("line", "ts_hour", "message_key", "error_type")
 
-    def __init__(self, tmp_dir: str, route_key: str = "level", counter=None,
-                 slim: bool = True):
+    def __init__(self, tmp_dir: str, counter=None):
         self.tmp_dir = tmp_dir
-        self.route_key = route_key
         self.counter = counter  # aggregates.PartialCounts or None
-        self.slim = slim
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -233,7 +210,7 @@ class WriteAndCount:
         # ONE composite (level, pid) sort + take, then zero-copy slices per
         # level — a filter-per-level re-scans the whole batch (incl. the wide
         # tokens column) once per level, which dominated this stage's profile
-        lv_col = batch[self.route_key]
+        lv_col = batch["level"]
         enc = (lv_col.combine_chunks() if isinstance(lv_col, pa.ChunkedArray)
                else lv_col).dictionary_encode()
         levels = enc.dictionary.to_pylist()
@@ -243,17 +220,12 @@ class WriteAndCount:
         npart = int(pids.max()) + 1 if n else 1
         skey = lvl_idx * npart + pids
         order = np.argsort(skey, kind="stable")
-        sink_batch = batch
-        if self.slim:
-            # "line" only re-derives from a tokens payload — raw-text inputs
-            # must persist it or the sinks would lose the row content
-            has_tokens = "tokens" in batch.column_names
-            drop = [c for c in self.DERIVED_COLS
-                    if c in batch.column_names and c != self.route_key
-                    and (c != "line" or has_tokens)]
-            if drop:
-                sink_batch = batch.drop_columns(drop)
-        sorted_batch = sink_batch.take(pa.array(order))
+        # "line" only re-derives from a tokens payload — raw-text inputs
+        # must persist it or the sinks would lose the row content
+        has_tokens = "tokens" in batch.column_names
+        drop = [c for c in self.DERIVED_COLS
+                if c in batch.column_names and (c != "line" or has_tokens)]
+        sorted_batch = batch.drop_columns(drop).take(pa.array(order))
         skey = skey[order]
         slvl = lvl_idx[order]
         spid = pids[order]
@@ -344,7 +316,7 @@ def wave_manifest(out_dir: str, wave: int) -> dict | None:
 
 def run_fingerprint(cfg, fmt: str, num_partitions: int) -> str:
     """Stable fingerprint of every config knob that changes WHICH ROWS a
-    run routes/counts (filters, format, partitioning).  Stored in wave/run
+    run routes/counts (filters, format, partitioning).  Stored in wave
     manifests so a resume into the same out_dir with a different job fails
     loudly instead of silently reusing mismatched stored counts (a resume
     with narrower filters would otherwise yield the INTERSECTION of the two
@@ -389,25 +361,6 @@ def validate_stored_wave(out_dir: str, wave: int, cfg_fp: str,
         )
 
 
-def validate_or_write_run_manifest(out_dir: str, cfg_fp: str) -> None:
-    """Shuffle-mode (per-pid resume) equivalent: one run.json for the whole
-    out_dir, written before the first pid completes, validated on resume."""
-    ldir = _lineage_dir(out_dir)
-    os.makedirs(ldir, exist_ok=True)
-    path = os.path.join(ldir, "run.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            stored = json.load(f)
-        if stored.get("cfg_fp") != cfg_fp:
-            raise ValueError(
-                f"resume mismatch: {out_dir} holds per-partition results from "
-                f"a run with different filter/format/partition config. Use a "
-                f"fresh --route-dir or rerun with the original flags."
-            )
-        return
-    _atomic_json(path, {"cfg_fp": cfg_fp})
-
-
 def cleanup_incomplete_wave(out_dir: str, wave: int, tmp_dir: str) -> None:
     """Remove any leftovers of a wave that never finalized (crash mid-run)."""
     import shutil
@@ -420,7 +373,7 @@ def cleanup_incomplete_wave(out_dir: str, wave: int, tmp_dir: str) -> None:
 
 
 def finalize_wave(out_dir: str, wave: int, tmp_dir: str, counts: pd.DataFrame,
-                  route_key: str = "level", input_files: list[str] | None = None,
+                  input_files: list[str] | None = None,
                   cfg_fp: str | None = None) -> None:
     """Move tmp files into the final layout, write per-partition lineage
     records (accumulated from the writer sidecars), then the wave manifest
@@ -441,7 +394,7 @@ def finalize_wave(out_dir: str, wave: int, tmp_dir: str, counts: pd.DataFrame,
     for meta_path, meta in metas:
         data_path = meta_path[: -len(".meta.json")]
         lv = meta["level"]
-        sdir = os.path.join(out_dir, f"{route_key}={_sanitize(lv)}")
+        sdir = os.path.join(out_dir, f"level={_sanitize(lv)}")
         os.makedirs(sdir, exist_ok=True)
         k = seq.get(lv, 0)
         seq[lv] = k + 1
@@ -497,116 +450,12 @@ def lineage_metrics(out_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["wave", "pid", "level", "rows", "token_sum"])
 
 
-# ---------------------------------------------------------------------------
-# shuffle exchange (one writer per pid — alternative mode)
-# ---------------------------------------------------------------------------
-
-class PartitionWriter:
-    """map_groups writer: one call per pid, owns all files of that partition.
-    With ``counter`` set (aggregates.PartialCounts), the partition's partial
-    aggregate counts are computed in the same pass and appended to the
-    metrics rows as (kind, key, n) — shuffle mode then needs no second read
-    over the routed files."""
-
-    def __init__(self, out_dir: str, route_key: str = "level", counter=None):
-        self.out_dir = out_dir
-        self.route_key = route_key
-        self.counter = counter
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        pid = group[PID_COL][0].as_py()
-        body = group.drop_columns([PID_COL])
-        levels = pc.unique(body[self.route_key].combine_chunks()).to_pylist()
-        per_level = {}
-        metrics_rows = []
-        for lv in levels:
-            sub = body.filter(pc.equal(body[self.route_key], lv))
-            sink = os.path.join(self.out_dir, f"{self.route_key}={_sanitize(lv)}")
-            os.makedirs(sink, exist_ok=True)
-            path = os.path.join(sink, f"part-{pid:05d}.parquet")
-            tmp = f"{path}.tmp-{os.getpid()}"
-            pq.write_table(sub, tmp)
-            os.replace(tmp, path)
-            token_sum = 0
-            if "tokens" in sub.column_names:
-                token_sum = int(pc.sum(pc.list_flatten(sub["tokens"])).as_py() or 0)
-            per_level[lv] = {"rows": sub.num_rows, "token_sum": token_sum}
-            metrics_rows.append((pid, lv, sub.num_rows, token_sum))
-
-        ldir = _lineage_dir(self.out_dir)
-        os.makedirs(ldir, exist_ok=True)
-        if self.counter is not None:
-            # the pid's aggregate partial, same pass as the write; stored as
-            # a sidecar so resumed runs sum counts without rereading data.
-            # written BEFORE the pid manifest (manifest presence == complete)
-            cpath = os.path.join(ldir, f"{pid:05d}-counts.parquet")
-            pq.write_table(self.counter(body), cpath + f".tmp-{os.getpid()}")
-            os.replace(cpath + f".tmp-{os.getpid()}", cpath)
-        _atomic_json(
-            os.path.join(ldir, f"{pid:05d}.json"),
-            {"pid": pid, "rows": body.num_rows, "per_level": per_level},
-        )
-        return pa.table(
-            {
-                "pid": pa.array([r[0] for r in metrics_rows], type=pa.int32()),
-                self.route_key: pa.array([r[1] for r in metrics_rows], type=pa.string()),
-                "rows": pa.array([r[2] for r in metrics_rows], type=pa.int64()),
-                "token_sum": pa.array([r[3] for r in metrics_rows], type=pa.int64()),
-            }
-        )
-
-
-def completed_pids(out_dir: str) -> set[int]:
-    d = _lineage_dir(out_dir)
-    if not os.path.isdir(d):
-        return set()
-    out = set()
-    for f in os.listdir(d):
-        stem = f.split(".")[0]
-        if f.endswith(".json") and stem.isdigit():
-            out.add(int(stem))
-    return out
-
-
-def filter_completed(ds, out_dir: str):
-    """Drop rows of already-completed partitions (shuffle-mode resume)."""
-    done = completed_pids(out_dir)
-    if not done:
-        return ds, 0
-    done_arr = pa.array(sorted(done), type=pa.int32())
-
-    def drop(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(pc.is_in(batch[PID_COL], value_set=done_arr)))
-
-    return ds.map_batches(drop, batch_format="pyarrow"), len(done)
-
-
-def route_and_write(ds, out_dir: str, route_key: str = "level", counter=None):
-    """Shuffle-mode fan-out: one writer per pid.  ``ds`` must carry ``__pid``
-    (AssignPartition) and the route-key column.  Returns the metrics Dataset."""
-    os.makedirs(out_dir, exist_ok=True)
-    writer = PartitionWriter(out_dir, route_key=route_key, counter=counter)
-
-    def write_partition(group: pa.Table) -> pa.Table:
-        return writer(group)
-
-    return ds.groupby(PID_COL).map_groups(write_partition, batch_format="pyarrow")
-
-
-def pid_counts(out_dir: str) -> list[pa.Table]:
-    """All per-pid aggregate-count sidecars (shuffle mode)."""
-    return [pq.read_table(f) for f in sorted(
-        glob.glob(os.path.join(_lineage_dir(out_dir), "*-counts.parquet")))
-        if os.path.basename(f).split("-")[0].isdigit()]
-
-
-def compact_routed(out_dir: str, target_rows: int = 512_000,
-                   route_key: str = "level") -> pd.DataFrame:
+def compact_routed(out_dir: str, target_rows: int = 512_000) -> pd.DataFrame:
     """Compact each sink's small part files into ~``target_rows``-row files.
 
     Real pipelines accrete small files (one per writer batch per wave);
     readers want fewer, bigger ones.  Each sink directory compacts as ONE
-    Ray task (sinks are independent → task-parallel, no shuffle: rows never
+    Ray task (sinks are independent → task-parallel, no exchange: rows never
     change partition).  Idempotent and crash-safe: compacted files land via
     tmp+rename as ``compact-*.parquet`` before the originals are removed, and
     a rerun skips sinks that contain no ``part-*`` files.  Lineage records
@@ -623,7 +472,7 @@ def compact_routed(out_dir: str, target_rows: int = 512_000,
     import ray
 
     sinks = sorted(
-        d for d in glob.glob(os.path.join(out_dir, f"{route_key}=*")) if os.path.isdir(d)
+        d for d in glob.glob(os.path.join(out_dir, "level=*")) if os.path.isdir(d)
     )
 
     @ray.remote(num_cpus=1)
