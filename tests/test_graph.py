@@ -586,15 +586,18 @@ def test_widest_path_bounded_matches_reference(ray_session):
     assert int(got[got["node"] == 1]["width"].iloc[0]) >= 40
 
 
-@pytest.mark.parametrize("fn_name,value_col", [
-    ("bfs_hops", "hop"),
-    ("bellman_ford_bounded", "dist"),
-    ("widest_path_bounded", "width"),
-])
-def test_bounded_walks_empty_edges_distributed(ray_session, fn_name, value_col):
-    """An empty edge Dataset forced onto the distributed path
-    (``driver_limit=0``) returns the same typed empty frame as the driver
-    path, instead of failing on the default seed's empty ``Min``."""
+@pytest.mark.parametrize("fn_name,value_col,seed", [
+    ("bfs_hops", "hop", None),
+    ("bellman_ford_bounded", "dist", None),
+    ("widest_path_bounded", "width", None),
+    ("bfs_hops", "hop", 5),
+], ids=["bfs_hops-hop", "bellman_ford_bounded-dist",
+        "widest_path_bounded-width", "bfs_hops-hop-seed5"])
+def test_bounded_walks_empty_edges_distributed(ray_session, fn_name,
+                                               value_col, seed):
+    """An empty edge Dataset, even with ``driver_limit=0``, returns the
+    same typed empty frame as the driver path — with the default seed
+    (no failing empty ``Min``) and with an explicit one (no seed row)."""
     import ray.data as rd
 
     from timberjack_ray.functions import graph
@@ -603,8 +606,9 @@ def test_bounded_walks_empty_edges_distributed(ray_session, fn_name, value_col):
                       "v": pa.array([], pa.int64()),
                       "w": pa.array([], pa.int64())})
     fn = getattr(graph, fn_name)
-    out = fn(rd.from_arrow(empty), driver_limit=0)
+    out = fn(rd.from_arrow(empty), seed=seed, driver_limit=0)
     assert list(out.columns) == ["node", value_col]
     assert len(out) == 0
     assert out.dtypes.tolist() == [np.dtype("int64")] * 2
-    assert out.dtypes.tolist() == fn(empty.to_pandas()).dtypes.tolist()
+    assert out.dtypes.tolist() == \
+        fn(empty.to_pandas(), seed=seed).dtypes.tolist()

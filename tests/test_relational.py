@@ -481,6 +481,14 @@ def test_auto_join_picks_each_plan_and_agrees(ray_session):
     got = ds.to_pandas()[key].sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, expect_s)
 
+    # a right side filtered to zero rows is an (empty) broadcast
+    ds, plan = auto_join(rd.from_pandas(left.head(3)),
+                         rd.from_pandas(right).filter(expr="rk < 0"),
+                         "k", "rk", ["a"], ["b"])
+    assert plan == "broadcast"
+    assert ds.schema().names == key
+    assert ds.count() == 0
+
 
 # --- round-4 batch: regression sums, ratio ppm, HHI -------------------------
 

@@ -1,22 +1,27 @@
-"""Distributed aggregates — the reference's AnalysisResult monoid, re-expressed
-as partial-per-batch counts + one small Ray groupby.
+"""Driver-side aggregates — the reference's AnalysisResult monoid, re-expressed
+as partial counts per batch plus one streaming driver fold.
 
 The reference computes per-chunk hashmap counters merged at the end
-(src/analyzer.rs:292-359, merge :510-549).  Ray Data's partial/final
-aggregation replaces the hand-written merge, but a naive
-``ds.groupby(key).count()`` would shuffle every row.  Instead:
+(src/analyzer.rs:292-359, merge :510-549).  A naive
+``ds.groupby(key).count()`` would shuffle every row, and even a Ray
+aggregate over the tiny partials pays a multi-second all-to-all.  Instead:
 
 1. ``map_batches`` emits ONE partial-count table per batch covering ALL
    aggregate families at once — rows ``(kind, key, n)`` where ``kind`` ∈
    {total, level, trend, error, msg, line} (pyarrow ``Table.group_by`` per
    batch, pure C).
-2. a single ``groupby(["kind","key"]).aggregate(Sum("n"))`` over the tiny
-   partials produces every aggregate in one small shuffle.
+2. ``merge_partials`` — the one guarded driver fold — streams the partials
+   to the driver and re-compacts them with pyarrow ``group_by`` every
+   ``COMPACT_EVERY`` tables, so driver memory is ~O(distinct keys).
 
-So the full report costs ONE pass over the data and one shuffle whose volume
-is ~(distinct keys × batches), not rows.  Only the ``line``/``msg`` families
-have high cardinality (exact dedup is inherently a shuffle); they are skipped
-unless requested.
+So the full report costs ONE pass over the data and a driver merge whose
+volume is ~(distinct keys × batches), not rows.  Only the ``line``/``msg``
+families have high cardinality; they are skipped unless requested, and the
+msg# family degrades to a HyperLogLog past ``MSG_GUARD_LIMIT``.  Results
+whose key count is not bounded by construction use the fold's limit and
+degrade hook (``merge_partials_or_ds``, ``merge_counts_guarded``); past the
+limit they move to the bucket exchange (``grouped_aggregate_ds``) or a
+sketch.
 """
 
 from __future__ import annotations
@@ -171,84 +176,118 @@ def _remerge_min_kinds(raw: pa.Table, summed: pa.Table, keys: list[str],
     return pa.concat_tables([rest.select(keys + [n_col]), mins.select(keys + [n_col])])
 
 
-def merge_partials(partials_ds, keys: list[str], n_col: str,
-                   guard: tuple[str, int] | None = None) -> pa.Table:
-    """Final merge of partial-count batches, streamed to the driver.
+class _KindSketch:
+    """Degrade hook of the msg# guard: moves the rows of one kind (16-hex
+    hashed keys) into a mergeable HyperLogLog and keeps the rest exact."""
 
-    Replaces a Ray ``groupby().aggregate()`` for SMALL result cardinalities:
-    partial batches (already collapsed per batch upstream) are folded with
-    pyarrow ``group_by`` (C kernels) as they stream in, re-compacting every
-    ``COMPACT_EVERY`` tables so driver memory stays ~O(distinct keys).  Ray's
-    all-to-all Aggregate op has a multi-second fixed cost that dwarfs these
-    tiny merges; the reference's own model is partial-per-chunk + final merge
-    (src/analyzer.rs:510-549).
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.hll = None
 
-    ``guard``: optional ``(kind_value, limit)`` cardinality guard (requires
-    ``keys == ["kind", "key"]`` and 16-hex-digit hashed keys, the msg#
-    family).  When the folded table holds more than ``limit`` distinct keys
-    of that kind, the fold AUTO-DEGRADES: existing and subsequent keys of the
-    kind are absorbed into a mergeable HyperLogLog and dropped from the exact
-    fold, and the returned table carries one ``msg~`` row whose key is the
-    base64 register array (persistable in wave sidecars; estimate/merge via
-    ``_merge_counts``).  Driver memory is then bounded by ~limit x 16 B
-    regardless of input cardinality.
+    def size(self, t: pa.Table) -> int:
+        return pc.sum(pc.cast(pc.equal(t["kind"], self.kind), "int64")).as_py() or 0
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        if self.hll is None:
+            from timberjack_ray.functions.sketch import HyperLogLog
+
+            self.hll = HyperLogLog(p=14)
+        is_k = pc.equal(t["kind"], self.kind)
+        if not pc.any(is_k).as_py():
+            return t
+        self.hll.add_hashed(_hex_to_u64(t.filter(is_k)["key"].to_pylist()))
+        return t.filter(pc.invert(is_k))
+
+
+def merge_partials(partials_ds, keys: list[str], n_col: str | list[str],
+                   guard: tuple[str, int] | None = None,
+                   ops: list[str] | None = None, limit: int | None = None,
+                   degrade=None) -> pa.Table | None:
+    """The one guarded driver fold of partial batches.
+
+    Partial tables (already collapsed per batch upstream) stream to the
+    driver and are folded with pyarrow ``group_by`` (C kernels),
+    re-compacting every ``COMPACT_EVERY`` tables so driver memory stays
+    ~O(distinct keys).  Ray's all-to-all Aggregate op has a multi-second
+    fixed cost that dwarfs these tiny merges; the reference's own model is
+    partial-per-chunk + final merge (src/analyzer.rs:510-549).
+
+    ``n_col``: one value column or a list of them (``[]`` folds distinct
+    keys).  ``ops``: per-column combine, parallel to the value columns —
+    "sum" (default), "min" or "max".  With ``keys == ["kind", "key"]`` and
+    one value column, ``line@`` rows merge with min.
+
+    ``limit``/``degrade``: once a compacted table holds more than
+    ``limit`` rows, ``degrade(table)`` is called, and from then on every
+    later batch goes through ``degrade`` too.  It returns the rows that
+    stay in the exact fold, or None to stop the fold — ``merge_partials``
+    then returns None.
+
+    ``guard``: ``(kind_value, limit)``, the msg# cardinality guard
+    (``keys == ["kind", "key"]``, 16-hex-digit hashed keys).  Past
+    ``limit`` distinct keys of that kind the kind's keys are absorbed into
+    a HyperLogLog, and the result carries one ``msg~`` row whose key is
+    the base64 register array (persistable in wave sidecars;
+    estimate/merge via ``_merge_counts``).  Driver memory is then bounded
+    by ~limit x 16 B regardless of input cardinality.
+
+    An empty input returns a typed empty table: the streamed batches'
+    schema, else string keys and int64 values.
     """
     n_cols = [n_col] if isinstance(n_col, str) else list(n_col)
+    ops = list(ops) if ops is not None else ["sum"] * len(n_cols)
+    cols = keys + n_cols
+    size = len
+    if guard is not None:
+        degrade = _KindSketch(guard[0])
+        limit, size = guard[1], degrade.size
+    schema = None
+    hooked = False
     pending: list[pa.Table] = []
-    guard_kind, guard_limit = guard if guard else (None, 0)
-    hll = None  # set on degrade
 
-    def absorb(t: pa.Table) -> pa.Table:
-        """Move guard-kind rows of t into the HLL (degraded mode only)."""
-        is_g = pc.equal(t["kind"], guard_kind)
-        if not pc.any(is_g).as_py():
-            return t
-        hll.add_hashed(_hex_to_u64(t.filter(is_g)["key"].to_pylist()))
-        return t.filter(pc.invert(is_g))
-
-    def compact(tables: list[pa.Table]) -> pa.Table:
+    def fold(tables: list[pa.Table]) -> pa.Table | None:
+        nonlocal hooked
         t = pa.concat_tables(tables)
-        g = t.group_by(keys).aggregate([(c, "sum") for c in n_cols])
-        g = g.rename_columns(keys + n_cols)
+        g = t.group_by(keys).aggregate(list(zip(n_cols, ops)))
+        g = g.rename_columns(cols)
         if "kind" in keys and len(n_cols) == 1:
             g = _remerge_min_kinds(t, g, keys, n_cols[0])
-        if guard_kind is not None and hll is None:
-            n_g = pc.sum(pc.cast(pc.equal(g["kind"], guard_kind), "int64")).as_py() or 0
-            if n_g > guard_limit:
-                _degrade()
-                g = absorb(g)
+        if not hooked and limit is not None and size(g) > limit:
+            hooked = True
+            return degrade(g)
         return g
 
-    def _degrade():
-        nonlocal hll
-        from timberjack_ray.functions.sketch import HyperLogLog
-
-        hll = HyperLogLog(p=14)
-
     for batch in partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        batch = batch.select(cols)
+        if schema is None:
+            schema = batch.schema
+        if hooked and batch.num_rows:
+            batch = degrade(batch)
+            if batch is None:
+                return None
         if batch.num_rows:
-            batch = batch.select(keys + n_cols)
-            if hll is not None:
-                batch = absorb(batch)
-            if batch.num_rows:
-                pending.append(batch)
+            pending.append(batch)
         if len(pending) >= COMPACT_EVERY:
-            pending = [compact(pending)]
-    if not pending and hll is None:
-        schema = pa.schema([(k, pa.string()) for k in keys] + [(c, pa.int64()) for c in n_cols])
-        return schema.empty_table()
-    out = compact(pending) if pending else pa.table(
-        {"kind": pa.array([], pa.string()), "key": pa.array([], pa.string()),
-         **{c: pa.array([], pa.int64()) for c in n_cols}})
-    if hll is not None:
+            folded = fold(pending)
+            if folded is None:
+                return None
+            pending = [folded]
+    if not pending:
+        if schema is None:
+            schema = pa.schema([(k, pa.string()) for k in keys]
+                               + [(c, pa.int64()) for c in n_cols])
+        pending = [schema.empty_table()]
+    out = fold(pending)
+    if guard is not None and degrade.hll is not None:
         import base64
 
         sentinel = pa.table({
             "kind": pa.array([KIND_MSG_SKETCH], pa.string()),
-            "key": pa.array([base64.b64encode(hll.registers.tobytes()).decode()], pa.string()),
+            "key": pa.array([base64.b64encode(degrade.hll.registers.tobytes()).decode()],
+                            pa.string()),
             **{c: pa.array([0], pa.int64()) for c in n_cols},
         })
-        out = pa.concat_tables([out.select(keys + n_cols), sentinel])
+        out = pa.concat_tables([out, sentinel])
     return out
 
 
@@ -295,80 +334,56 @@ class GuardedCounts:
         return out
 
 
+# Count-Min degrade of ``merge_counts_guarded``: each batch's top
+# CMS_CANDIDATES_PER_BATCH keys join the candidate set, which is re-pruned
+# to half of CMS_MAX_CANDIDATES by estimate when full.
+CMS_CANDIDATES_PER_BATCH = 256
+CMS_MAX_CANDIDATES = 8192
+CMS_DEPTH, CMS_WIDTH = 4, 1 << 16
+
+
 def merge_counts_guarded(partials_ds, key_col: str, n_col: str,
-                         limit: int | None = None,
-                         candidates_per_batch: int = 256,
-                         max_candidates: int = 8192,
-                         depth: int = 4, width: int = 1 << 16) -> GuardedCounts:
+                         limit: int | None = None) -> GuardedCounts:
     """Driver fold of (key, n) partial-count batches with a CARDINALITY
-    GUARD: exact pyarrow group_by compaction while distinct keys stay under
-    ``limit`` (default FOLD_GUARD_LIMIT); past it the fold AUTO-DEGRADES to
-    a mergeable Count-Min sketch plus a bounded candidate set (each batch's
-    top ``candidates_per_batch`` keys; re-pruned to ``max_candidates/2``
-    by estimate when full).  Driver memory is then bounded by
-    ~limit × key-size + depth × width × 8 B regardless of input
+    GUARD: ``merge_partials`` while distinct keys stay under ``limit``
+    (default FOLD_GUARD_LIMIT); past it the degrade hook moves the folded
+    table and every later batch into a mergeable Count-Min sketch plus a
+    bounded candidate set.  Driver memory is then bounded by
+    ~limit × key-size + CMS_DEPTH × CMS_WIDTH × 8 B regardless of input
     cardinality — the msg#-guard pattern (VERDICT r02 #2) for the open
     count families (words, n-grams, doc frequency)."""
     import numpy as np
 
-    if limit is None:
-        limit = FOLD_GUARD_LIMIT
     out = GuardedCounts(key_col, n_col)
-    pending: list[pa.Table] = []
 
-    def compact(tables: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(tables)
-        g = t.group_by(key_col).aggregate([(n_col, "sum")])
-        return g.rename_columns([key_col, n_col])
+    def to_cms(t: pa.Table) -> pa.Table:
+        from timberjack_ray.functions.sketch import (CountMinSketch,
+                                                     _hash_strings)
 
-    def absorb(t: pa.Table) -> None:
-        from timberjack_ray.functions.sketch import _hash_strings
-
+        if out.cms is None:
+            out.mode = "cms"
+            out.cms = CountMinSketch(depth=CMS_DEPTH, width=CMS_WIDTH)
         keys = t[key_col].to_pylist()
         ns = t[n_col].to_numpy(zero_copy_only=False).astype(np.int64)
         out.cms.add_hashed(_hash_strings(keys), ns)
-        if len(keys) > candidates_per_batch:
-            top = np.argpartition(-ns, candidates_per_batch - 1)[:candidates_per_batch]
+        if len(keys) > CMS_CANDIDATES_PER_BATCH:
+            top = np.argpartition(-ns, CMS_CANDIDATES_PER_BATCH - 1)[
+                :CMS_CANDIDATES_PER_BATCH]
             out.candidates.update(keys[i] for i in top)
         else:
             out.candidates.update(keys)
-        if len(out.candidates) > max_candidates:
+        if len(out.candidates) > CMS_MAX_CANDIDATES:
             pruned = out._estimates().sort_values(
                 [n_col, key_col], ascending=[False, True]) \
-                .head(max_candidates // 2)
+                .head(CMS_MAX_CANDIDATES // 2)
             out.candidates = set(pruned[key_col])
+        return t.slice(0, 0)
 
-    def degrade(folded: pa.Table) -> None:
-        from timberjack_ray.functions.sketch import CountMinSketch
-
-        out.mode = "cms"
-        out.cms = CountMinSketch(depth=depth, width=width)
-        absorb(folded)
-
-    for b in partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        b = b.select([key_col, n_col])
-        if out.mode == "cms":
-            absorb(b)
-            continue
-        pending.append(b)
-        if len(pending) >= COMPACT_EVERY:
-            folded = compact(pending)
-            pending = [folded]
-            if folded.num_rows > limit:
-                degrade(folded)
-                pending = []
+    folded = merge_partials(
+        partials_ds, [key_col], n_col, degrade=to_cms,
+        limit=FOLD_GUARD_LIMIT if limit is None else limit)
     if out.mode == "exact":
-        if pending:
-            folded = compact(pending)
-            if folded.num_rows > limit:
-                degrade(folded)
-            else:
-                out.table = folded
-        else:
-            out.table = pa.schema(
-                [(key_col, pa.string()), (n_col, pa.int64())]).empty_table()
+        out.table = folded
     return out
 
 
@@ -496,12 +511,12 @@ def merge_partials_or_ds(partials_ds, keys: list[str], n_cols: list[str],
                          ops: list[str] | None = None):
     """GUARDED variant of ``merge_partials`` for result cardinalities that
     are usually small but not bounded by construction (rollup combos,
-    per-group stats): stream-fold on the driver while the folded table
-    stays under ``driver_limit`` distinct keys; past it, bail to a Ray
-    multi-key ``groupby().aggregate(Sum)`` and return that DATASET for the
-    caller to stream/write (the VERDICT r02 auto-degrade pattern — driver
-    memory stays bounded at any key cardinality, at the cost of one wasted
-    partial pass bounded by driver_limit rows).
+    per-group stats): the driver fold stops past ``driver_limit`` distinct
+    keys (default FOLD_GUARD_LIMIT), and the partials then go through the
+    bucket exchange (``grouped_aggregate_ds``), returned as a DATASET for
+    the caller to stream/write (the VERDICT r02 auto-degrade pattern —
+    driver memory stays bounded at any key cardinality, at the cost of one
+    wasted partial pass bounded by driver_limit rows).
 
     ``ops``: per-column combine, parallel to ``n_cols`` — "sum" (default),
     "min" or "max"; all are commutative monoids so the driver fold and
@@ -509,42 +524,16 @@ def merge_partials_or_ds(partials_ds, keys: list[str], n_cols: list[str],
 
     Returns ``(pa.Table, "driver")`` or ``(Dataset, "distributed")``.
     """
-    if driver_limit is None:
-        driver_limit = FOLD_GUARD_LIMIT
     n_cols = list(n_cols)
     ops = list(ops) if ops is not None else ["sum"] * len(n_cols)
-    assert len(ops) == len(n_cols) and set(ops) <= {"sum", "min", "max"}
-
-    def distributed():
-        return grouped_aggregate_ds(
-            partials_ds,
-            keys,
-            [(c, op, c) for c, op in zip(n_cols, ops)],
-        ), "distributed"
-
-    pending: list[pa.Table] = []
-
-    def compact(tables: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(tables)
-        g = t.group_by(keys).aggregate(
-            [(c, op) for c, op in zip(n_cols, ops)])
-        return g.rename_columns(keys + n_cols)
-
-    for b in partials_ds.iter_batches(batch_size=None,
-                                      batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        pending.append(b.select(keys + n_cols))
-        if len(pending) >= 64:
-            pending = [compact(pending)]
-            if pending[0].num_rows > driver_limit:
-                return distributed()
-    if not pending:
-        return pa.table({c: [] for c in keys + n_cols}), "driver"
-    folded = compact(pending)
-    if folded.num_rows > driver_limit:
-        return distributed()
-    return folded, "driver"
+    folded = merge_partials(
+        partials_ds, keys, n_cols, ops=ops, degrade=lambda _: None,
+        limit=FOLD_GUARD_LIMIT if driver_limit is None else driver_limit)
+    if folded is not None:
+        return folded, "driver"
+    return grouped_aggregate_ds(
+        partials_ds, keys, [(c, op, c) for c, op in zip(n_cols, ops)],
+    ), "distributed"
 
 
 def distinct_values_guarded(ds, key: str, driver_limit: int | None = None):

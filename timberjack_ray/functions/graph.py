@@ -34,7 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.aggregates import grouped_aggregate_ds
+from timberjack_ray.aggregates import grouped_aggregate_ds, merge_partials
 
 
 def _union_find_components(a: np.ndarray, b: np.ndarray) -> pd.DataFrame:
@@ -230,11 +230,6 @@ def pagerank_int(edges_ds, u_col: str = "u", v_col: str = "v",
             lambda t: pa.table({"node": t["u"]}), batch_format="pyarrow"),
         ["node"], [("node", "count_all", "outdeg")])
     n = nodes.count()
-    if n == 0:  # zero-row input: collect_table_under bails on empty
-        out = pd.DataFrame({"node": np.array([], np.int64),
-                            "rank_fp": np.array([], np.int64)})
-        out.attrs["mode"] = "driver"
-        return out
     r0 = total // n
     base = (15 * r0) // 100
 
@@ -627,18 +622,18 @@ def kcore_peel(edges, k: int = 3, rounds: int = 8,
         return grouped_aggregate_ds(flat, ["node"],
                                     [("node", "count_all", "degree")])
 
-    for _ in range(rounds):
+    for r in range(rounds + 1):
         deg = collect_table_under(degrees(cur), node_limit)
         if deg is None:
-            if cur.count() == 0:
-                break   # everything peeled: the empty fixpoint
             raise ValueError(
                 "kcore_peel: surviving node vocabulary exceeds node_limit "
                 "— shard the broadcast (GRACE semi-join per round) before "
                 "raising the limit")
+        if not deg.num_rows:
+            break   # everything peeled: the empty fixpoint
         d = deg["degree"].to_numpy(zero_copy_only=False)
         keep = np.sort(deg["node"].to_numpy(zero_copy_only=False)[d >= k])
-        if len(keep) == len(deg):
+        if len(keep) == len(deg) or r == rounds:
             break
         ref = ray.put(keep)
 
@@ -654,10 +649,9 @@ def kcore_peel(edges, k: int = 3, rounds: int = 8,
 
         cur = cur.map_batches(filt, batch_format="pyarrow").materialize()
 
-    deg = collect_table_under(degrees(cur), node_limit)
     out = deg.to_pandas().sort_values("node").reset_index(drop=True) \
         .astype({"node": "int64", "degree": "int64"}) \
-        if deg is not None else pd.DataFrame(
+        if deg.num_rows else pd.DataFrame(
             {"node": pd.Series([], dtype="int64"),
              "degree": pd.Series([], dtype="int64")})
     out.attrs["mode"] = "distributed"
@@ -818,7 +812,9 @@ def common_neighbors_topk(edges, k: int = 20, degree_cap: int = 48,
         pkey = pairs["pkey"].to_numpy(zero_copy_only=False)
         cn = pairs["cn"].to_numpy(zero_copy_only=False)
         if ekeys_tbl is not None:
-            ekey = np.sort(ekeys_tbl["ekey"].to_numpy(zero_copy_only=False))
+            # (an empty edge set collects with no schema)
+            ekey = np.sort(ekeys_tbl["ekey"].to_numpy(zero_copy_only=False)) \
+                if ekeys_tbl.num_rows else np.empty(0, np.int64)
             j = np.searchsorted(ekey, pkey)
             adj = (j < len(ekey)) & \
                 (ekey[np.minimum(j, max(len(ekey) - 1, 0))] == pkey)
@@ -900,14 +896,12 @@ def _bfs_driver(u: np.ndarray, v: np.ndarray, seed: int,
     return out.astype({"node": "int64", "hop": "int64"})
 
 
-def _min_node(edges_ds) -> int | None:
-    """Smallest node id of an edge Dataset (the default seed of the
-    bounded-round walks), or None when it has no edges."""
+def _min_node(edges_ds) -> int:
+    """Smallest node id of a non-empty edge Dataset (the default seed of
+    the bounded-round walks)."""
     from ray.data.aggregate import Min
 
     mu = edges_ds.aggregate(Min("u"), Min("v"))
-    if mu["min(u)"] is None:
-        return None
     return int(min(mu["min(u)"], mu["min(v)"]))
 
 
@@ -959,8 +953,6 @@ def bfs_hops(edges, seed: int | None = None, rounds: int = 6,
     edges = edges.select_columns(["u", "v"]).materialize()
     if seed is None:
         seed = _min_node(edges)
-        if seed is None:
-            return _empty_node_frame("hop")
     dist: dict[int, int] = {int(seed): 0}
     frontier = np.array([seed], dtype=np.int64)
     for hop in range(1, rounds + 1):
@@ -1282,7 +1274,9 @@ def neighbor_jaccard_topk(edges, k: int = 20, degree_cap: int = 48,
         if ekeys_tbl is None:
             pairs = _one_block_ds(pkey, cn)
         else:
-            ekey = np.sort(ekeys_tbl["ekey"].to_numpy(zero_copy_only=False))
+            # (an empty edge set collects with no schema)
+            ekey = np.sort(ekeys_tbl["ekey"].to_numpy(zero_copy_only=False)) \
+                if ekeys_tbl.num_rows else np.empty(0, np.int64)
             j = np.searchsorted(ekey, pkey)
             adj = (j < len(ekey)) & \
                 (ekey[np.minimum(j, max(len(ekey) - 1, 0))] == pkey)
@@ -1536,8 +1530,6 @@ def bellman_ford_bounded(edges, seed: int | None = None, rounds: int = 4,
 
     if seed is None:
         seed = _min_node(edges)
-        if seed is None:
-            return _empty_node_frame("dist")
     dist: dict[int, int] = {int(seed): 0}
     for _ in range(rounds):
         ks = np.array(sorted(dist), dtype=np.int64)
@@ -1566,21 +1558,10 @@ def bellman_ford_bounded(edges, seed: int | None = None, rounds: int = 4,
                 .group_by("node").aggregate([("best", "min")])
             return g.rename_columns(["node", "best"])
 
-        # node-bounded MIN fold (merge_partials only sums)
-        pend: list[pa.Table] = []
-        for b in edges.map_batches(relax, batch_format="pyarrow") \
-                .iter_batches(batch_size=None, batch_format="pyarrow"):
-            if b.num_rows:
-                pend.append(b)
-            if len(pend) >= 64:
-                pend = [pa.concat_tables(pend).group_by("node")
-                        .aggregate([("best", "min")])
-                        .rename_columns(["node", "best"])]
-        if not pend:
+        bt = merge_partials(edges.map_batches(relax, batch_format="pyarrow"),
+                            ["node"], "best", ops=["min"]).to_pandas()
+        if not len(bt):
             break
-        bt = pa.concat_tables(pend).group_by("node") \
-            .aggregate([("best", "min")]) \
-            .rename_columns(["node", "best"]).to_pandas()
         changed = False
         for n_, b in zip(bt["node"].astype(int), bt["best"].astype(int)):
             if b < dist.get(n_, 2 ** 62):
@@ -1686,8 +1667,6 @@ def _widest_path_distributed(edges_ds, seed, rounds: int, w_col: str,
     edges_ds = edges_ds.materialize()
     if seed is None:
         seed = _min_node(edges_ds)
-        if seed is None:
-            return _empty_node_frame("width")
     width: dict[int, int] = {int(seed): int(inf_width)}
     NEG = np.int64(-(2 ** 62))
     for _ in range(rounds):
@@ -1717,20 +1696,11 @@ def _widest_path_distributed(edges_ds, seed, rounds: int, w_col: str,
                 .group_by("node").aggregate([("best", "max")])
             return g.rename_columns(["node", "best"])
 
-        pend: list[pa.Table] = []
-        for b in edges_ds.map_batches(relax, batch_format="pyarrow") \
-                .iter_batches(batch_size=None, batch_format="pyarrow"):
-            if b.num_rows:
-                pend.append(b)
-            if len(pend) >= 64:
-                pend = [pa.concat_tables(pend).group_by("node")
-                        .aggregate([("best", "max")])
-                        .rename_columns(["node", "best"])]
-        if not pend:
+        bt = merge_partials(
+            edges_ds.map_batches(relax, batch_format="pyarrow"),
+            ["node"], "best", ops=["max"]).to_pandas()
+        if not len(bt):
             break
-        bt = pa.concat_tables(pend).group_by("node") \
-            .aggregate([("best", "max")]) \
-            .rename_columns(["node", "best"]).to_pandas()
         changed = False
         for n_, b in zip(bt["node"].astype(int), bt["best"].astype(int)):
             if b > width.get(n_, -(2 ** 62)):

@@ -186,30 +186,15 @@ def distinct_count_by(ds, group_col: str, distinct_col: str,
     each further partial batch adds its hashed keys directly.  Driver
     memory is then ~limit × pair-size + groups × 2^p B.  The returned
     frame records ``.attrs["mode"]`` ("exact"/"hll")."""
-    import pyarrow.compute as pc
-
     from timberjack_ray.aggregates import FOLD_GUARD_LIMIT
 
-    if limit is None:
-        limit = FOLD_GUARD_LIMIT
-
     def pairs(batch: pa.Table) -> pa.Table:
-        g = batch.select([group_col, distinct_col]).group_by(
-            [group_col, distinct_col]).aggregate([([], "count_all")])
-        t = g.rename_columns([group_col, distinct_col, "n"])
-        return t.set_column(2, "n", pa.array([1] * t.num_rows, pa.int64()))
+        return batch.select([group_col, distinct_col]).group_by(
+            [group_col, distinct_col]).aggregate([])
 
-    p = ds.map_batches(pairs, batch_format="pyarrow")
+    hlls: dict = {}
 
-    hlls: dict | None = None
-    pending: list[pa.Table] = []
-
-    def compact(tables: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(tables)
-        g = t.group_by([group_col, distinct_col]).aggregate([])
-        return g
-
-    def absorb(t: pa.Table) -> None:
+    def to_hll(t: pa.Table) -> pa.Table:
         from timberjack_ray.functions.sketch import (HyperLogLog,
                                                      _hash_strings)
 
@@ -220,34 +205,15 @@ def distinct_count_by(ds, group_col: str, distinct_col: str,
             if h is None:
                 h = hlls[g] = HyperLogLog(p=hll_p)
             h.add_hashed(vals[groups == g])
+        return t.slice(0, 0)
 
-    for b in p.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        b = b.select([group_col, distinct_col])
-        if hlls is not None:
-            absorb(b)
-            continue
-        pending.append(b)
-        if len(pending) >= 64:
-            folded = compact(pending)
-            pending = [folded]
-            if folded.num_rows > limit:
-                hlls = {}
-                absorb(folded)
-                pending = []
-    if hlls is None and pending:
-        folded = compact(pending)
-        if folded.num_rows > limit:
-            hlls = {}
-            absorb(folded)
-        else:
-            out = folded.group_by(group_col).aggregate([([], "count_all")])
-            df = out.rename_columns([group_col, name]).to_pandas()
-            df.attrs["mode"] = "exact"
-            return df
-    if hlls is None:  # empty input
-        df = pd.DataFrame({group_col: [], name: []})
+    folded = merge_partials(
+        ds.map_batches(pairs, batch_format="pyarrow"),
+        [group_col, distinct_col], [], degrade=to_hll,
+        limit=FOLD_GUARD_LIMIT if limit is None else limit)
+    if not hlls:
+        out = folded.group_by(group_col).aggregate([([], "count_all")])
+        df = out.rename_columns([group_col, name]).to_pandas()
         df.attrs["mode"] = "exact"
         return df
     keys = sorted(hlls)
@@ -406,18 +372,15 @@ def grouped_topk(ds, group_col: str, sort_col: str, k: int, tie_col: str,
     from timberjack_ray.functions.util import collect_table_under
 
     small = collect_table_under(pruned, driver_limit)
+    if small is not None and not small.num_rows:
+        # an empty map_batches output carries no schema
+        return pd.DataFrame(columns=ds.schema().names if ds.schema() else
+                            [group_col, sort_col, tie_col])
     if small is not None:
         final = _topk_prune(small, group_col, sort_col, tie_col, k, descending)
         return final.to_pandas().sort_values(
             [group_col, sort_col, tie_col],
             ascending=[True, not descending, True]).reset_index(drop=True)
-    # bounded emptiness probe: collect_table_under returns None for BOTH
-    # over-limit and zero-row inputs; limit(1) stops the re-execution after
-    # the first row instead of re-running the whole prune pipeline (r03
-    # review) — only the truly-empty case pays a full (empty) scan
-    if pruned.limit(1).count() == 0:
-        return pd.DataFrame(columns=ds.schema().names if ds.schema() else
-                            [group_col, sort_col, tie_col])
     # bucket the groups so the exchange has ~256 coarse partitions and
     # each map_groups call prunes MANY groups in one vectorized lexsort
     # (one call per group would be per-key Python at high cardinality)
@@ -1037,7 +1000,6 @@ def range_partition_stats(ds, col: str, n_ranges: int = 8,
 
     Returns (range_id, n, min_scaled, max_scaled) rows, range_id asc.
     """
-    from timberjack_ray.aggregates import merge_partials
     from timberjack_ray.functions.sessions import exact_quantiles
     from timberjack_ray.functions.util import scale_to_int
 
@@ -1053,11 +1015,9 @@ def range_partition_stats(ds, col: str, n_ranges: int = 8,
                 [([], "count_all"), ("v", "min"), ("v", "max")])
         return g.rename_columns(["range_id", "n", "mn", "mx"])
 
-    parts = [b for b in ds.map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_size=None, batch_format="pyarrow")
-             if b.num_rows]
-    t = pa.concat_tables(parts).group_by("range_id").aggregate(
-        [("n", "sum"), ("mn", "min"), ("mx", "max")])
+    t = merge_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["range_id"], ["n", "mn", "mx"],
+                       ops=["sum", "min", "max"])
     out = t.rename_columns(["range_id", "n", "min_scaled", "max_scaled"]) \
         .to_pandas().sort_values("range_id").reset_index(drop=True)
     return out.astype({"range_id": "int64", "n": "int64",
@@ -1622,10 +1582,9 @@ def skew_join(left_ds, right_ds, left_key: str, right_key: str,
 
     from timberjack_ray.functions.util import collect_table_under
 
-    hot_right_ds = right_ds.map_batches(split(right_key, True),
-                                        batch_format="pyarrow") \
-        .map_batches(lambda t: t.select([right_key] + right_cols),
-                     batch_format="pyarrow")
+    # one map, so a right side with no hot key still collects typed
+    hot_right_ds = right_ds.select_columns([right_key] + right_cols) \
+        .map_batches(split(right_key, True), batch_format="pyarrow")
     hot_right = collect_table_under(hot_right_ds, hot_right_limit)
 
     hot_left_ds = left_ds.map_batches(split(left_key, True),
@@ -1646,8 +1605,7 @@ def skew_join(left_ds, right_ds, left_key: str, right_key: str,
 
         hot_out = hot_left_ds.map_batches(hot_join, batch_format="pyarrow")
     else:
-        # Both sides hot (or hot slice empty — collect_table_under folds
-        # both to None): salted replication.  Hot keys are few (dense
+        # Both sides hot: salted replication.  Hot keys are few (dense
         # index via hot_sorted), so the composite __skewk = didx*S + salt
         # stays tiny and collision-free while fanning each hot key over
         # n_salts GRACE buckets.
@@ -1779,14 +1737,10 @@ def zorder_layout_stats(ds, x_col: str, y_col: str, n_ranges: int = 16,
         return g.rename_columns(["range_id", "n", "min_x", "max_x",
                                  "min_y", "max_y"])
 
-    parts = [b for b in ds.map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_size=None, batch_format="pyarrow")
-             if b.num_rows]
-    t = pa.concat_tables(parts).group_by("range_id").aggregate(
-        [("n", "sum"), ("min_x", "min"), ("max_x", "max"),
-         ("min_y", "min"), ("max_y", "max")])
-    out = t.rename_columns(["range_id", "n", "min_x", "max_x",
-                            "min_y", "max_y"]).to_pandas() \
+    out = merge_partials(
+        ds.map_batches(partial, batch_format="pyarrow"), ["range_id"],
+        ["n", "min_x", "max_x", "min_y", "max_y"],
+        ops=["sum", "min", "max", "min", "max"]).to_pandas() \
         .sort_values("range_id").reset_index(drop=True)
     return out.astype({c: "int64" for c in out.columns})
 
@@ -1799,8 +1753,8 @@ def auto_join(left_ds, right_ds, left_key: str, right_key: str,
     """Cost-based INNER-join planner over the three physical join
     operators — the decision every query engine makes, made explicit:
 
-    1. a per-batch count pass sizes the RIGHT side; under
-       ``broadcast_limit`` rows it collects + broadcasts
+    1. the RIGHT side streams to the driver; at most ``broadcast_limit``
+       rows (an empty side included) are broadcast
        (:func:`broadcast_join` — no exchange at all);
     2. otherwise a LEFT key-count pre-pass (distinct-key partials) looks
        for skew: if the hottest key carries more than ``hot_frac`` of
@@ -1816,29 +1770,16 @@ def auto_join(left_ds, right_ds, left_key: str, right_key: str,
     broadcast path it runs per joined batch)."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.aggregates import merge_partials
+    from timberjack_ray.functions.util import collect_table_under
 
-    def count_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"one": pa.array([0], pa.int64()),
-                         "n": pa.array([t.num_rows], pa.int64())})
-
-    r_n = int(merge_partials(
-        right_ds.map_batches(count_rows, batch_format="pyarrow"),
-        ["one"], "n").to_pandas()["n"].iloc[0])
-
-    if r_n <= broadcast_limit:
-        from timberjack_ray.functions.util import collect_table_under
-
-        right = collect_table_under(
-            right_ds.select_columns([right_key] + right_cols),
-            broadcast_limit)
-        assert right is not None  # counted ≤ limit above
+    right = collect_table_under(
+        right_ds.select_columns([right_key] + right_cols), broadcast_limit)
+    if right is not None:
+        # the inner join of the two projections yields exactly
+        # [left_key] + left_cols + right_cols (right key coalesced)
         joined = broadcast_join(left_ds.select_columns(
             [left_key] + left_cols), right, keys=left_key,
             right_keys=right_key, join_type="inner")
-        joined = joined.map_batches(
-            lambda t: t.select([left_key] + left_cols + right_cols),
-            batch_format="pyarrow")
         if bucket_fn is not None:
             joined = joined.map_batches(bucket_fn, batch_format="pyarrow")
         return joined, "broadcast"
@@ -2160,10 +2101,8 @@ def skyline_2d(ds, x_col: str, y_col: str, driver_limit: int = 2_000_000,
 
     gmax = gmax.map_batches(norm, batch_format="pyarrow")
     small = collect_table_under(gmax, driver_limit)
-    if small is None and gmax.limit(1).count() == 0:
-        # empty input: nothing dominates nothing (collect_table_under
-        # returns None for BOTH empty and over-limit)
-        return ds.limit(0)
+    if small is not None and not small.num_rows:
+        return ds.limit(0)   # empty input: nothing dominates nothing
     if small is None:
         # coarse prefilter: strict-earlier-block dominance
         def coarse(t: pa.Table) -> pa.Table:
@@ -2541,11 +2480,10 @@ def skyline_nd(ds, cols: list[tuple[str, str]],
                                                 batch_format="pyarrow")
     small = collect_table_under(locs, driver_limit)
     if small is None:
-        if locs.limit(1).count() == 0:
-            return pd.DataFrame({c: pd.Series([], dtype="int64")
-                                 for c in names})
         raise ValueError("skyline_nd: local skylines exceed driver_limit "
                          "(anti-correlated dimensions)")
+    if not small.num_rows:
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in names})
     m = np.stack([small[c].to_numpy(zero_copy_only=False)
                   .astype(np.int64) for c in names], axis=1) * signs
     sky = _skyline_insert(m, np.zeros((0, len(names)), np.int64))
@@ -2591,12 +2529,12 @@ def grouped_skyline_nd(ds, group_col: str, cols: list[tuple[str, str]],
         .map_batches(partial, batch_format="pyarrow")
     small = collect_table_under(locs, driver_limit)
     if small is None:
-        if locs.limit(1).count() == 0:
-            return pd.DataFrame({group_col: pd.Series([], dtype=object),
-                                 **{c: pd.Series([], dtype="int64")
-                                    for c in names}})
         raise ValueError("grouped_skyline_nd: local skylines exceed "
                          "driver_limit")
+    if not small.num_rows:
+        return pd.DataFrame({group_col: pd.Series([], dtype=object),
+                             **{c: pd.Series([], dtype="int64")
+                                for c in names}})
     df = small.to_pandas()
     rows = []
     for gv, sub in df.groupby(group_col, sort=True):

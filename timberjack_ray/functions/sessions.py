@@ -105,32 +105,14 @@ def session_stats(ds, key_col: str, ts_col: str, gap_s: int,
     Returns pd.DataFrame (``.attrs["mode"] = "driver"``) under the limit."""
     from timberjack_ray.aggregates import FOLD_GUARD_LIMIT
 
-    if driver_limit is None:
-        driver_limit = FOLD_GUARD_LIMIT
-    p = _session_count_partials(ds, key_col, ts_col, gap_s)
-    pending: list[pa.Table] = []
-
-    def compact(tables: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(tables)
-        g = t.group_by(key_col).aggregate([("n", "max")])
-        return g.rename_columns([key_col, "n"])
-
-    for b in p.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        pending.append(b.select([key_col, "n"]))
-        if len(pending) >= 64:
-            pending = [compact(pending)]
-            if pending[0].num_rows > driver_limit:
-                # one wasted partial pass (bounded by driver_limit rows),
-                # then the distributed plan recomputes from the source
-                return session_stats_ds(ds, key_col, ts_col, gap_s)
-    if not pending:
-        out = pd.DataFrame({key_col: [], "n_sessions": []})
-        out.attrs["mode"] = "driver"
-        return out
-    folded = compact(pending)
-    if folded.num_rows > driver_limit:
+    # past driver_limit keys: one wasted partial pass (bounded by
+    # driver_limit rows), then the distributed plan recomputes from the
+    # source
+    folded = merge_partials(
+        _session_count_partials(ds, key_col, ts_col, gap_s), [key_col], "n",
+        ops=["max"], degrade=lambda _: None,
+        limit=FOLD_GUARD_LIMIT if driver_limit is None else driver_limit)
+    if folded is None:
         return session_stats_ds(ds, key_col, ts_col, gap_s)
     out = folded.rename_columns([key_col, "n_sessions"]).to_pandas() \
         .sort_values(key_col).reset_index(drop=True)
@@ -324,28 +306,13 @@ def retention_cohorts(ds, key_col: str, ts_col: str, type_col: str,
             .group_by(key_col).aggregate([("cw", "min")])
         return g.rename_columns([key_col, "cw"])
 
-    # streaming min-fold with periodic compaction (the merge_partials
-    # discipline): driver memory tracks DISTINCT signed-up keys, not total
-    # signup partial rows
-    pending: list[pa.Table] = []
-
-    def compact(tables: list[pa.Table]) -> pa.Table:
-        t = pa.concat_tables(tables)
-        return t.group_by(key_col).aggregate([("cw", "min")]) \
-            .rename_columns([key_col, "cw"])
-
-    for b in proj.map_batches(signup_partial, batch_format="pyarrow") \
-            .iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        pending.append(b)
-        if len(pending) >= 64:
-            pending = [compact(pending)]
-    if not pending:
+    fold = merge_partials(
+        proj.map_batches(signup_partial, batch_format="pyarrow"),
+        [key_col], "cw", ops=["min"])
+    if not fold.num_rows:
         return pd.DataFrame({"cohort_week": pd.array([], dtype="int64"),
                              "k": pd.array([], dtype="int64"),
                              "n_users": pd.array([], dtype="int64")})
-    fold = compact(pending)
     firsts = dict(zip(fold[key_col].to_pylist(), fold["cw"].to_pylist()))
     import ray
 

@@ -569,6 +569,9 @@ def knn_join_q8(ds, k: int = 3, id_col: str = "vec_id",
             "knn_join_q8: corpus exceeds max_rows — the exact self-join "
             "broadcasts the full quantized matrix; use the IVF-bucketed "
             "embedding_knn_join at this scale")
+    if not tbl.num_rows:
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in
+                             [id_col, "neighbor_id", "score_q", "rank"]})
     all_ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     M = _to_matrix(tbl["qvec"]).astype(np.int32)
     ref = ray.put((all_ids, M))

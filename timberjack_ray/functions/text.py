@@ -972,8 +972,12 @@ def dsir_weights(ds, target_col: str, target_val: str,
     bk = folded["bucket"].to_numpy(zero_copy_only=False)
     ct[bk] = folded["n_t"].to_numpy(zero_copy_only=False)
     cr[bk] = folded["n_r"].to_numpy(zero_copy_only=False)
-    logw = (np.log(ct + lam) - np.log(ct.sum() + lam * n_feat)) \
-        - (np.log(cr + lam) - np.log(cr.sum() + lam * n_feat))
+    # math.log (libm), NOT np.log — as in bm25_topk: numpy's SIMD log can
+    # deviate from DuckDB's libm ln by 1 ULP, enough to flip the oracle's
+    # milli-scaled floor
+    ln = np.vectorize(math.log, otypes=[np.float64])
+    logw = (ln(ct + lam) - math.log(ct.sum() + lam * n_feat)) \
+        - (ln(cr + lam) - math.log(cr.sum() + lam * n_feat))
     ref = ray.put(logw)
 
     def score(t: pa.Table) -> pa.Table:

@@ -79,24 +79,35 @@ def fetch_broadcast(ref):
 
 
 def collect_table_under(ds, limit_rows: int) -> pa.Table | None:
-    """Optimistically stream a Dataset to one driver-side Arrow table.
+    """Stream a Dataset to one driver-side Arrow table — the one guarded
+    row collect.
 
-    Returns None (bail-out) once more than ``limit_rows`` rows have been
-    pulled — callers then fall back to the distributed plan.  This is the
-    small-side pattern used across the dedup/similarity ops: Ray's
-    all-to-all groupby has a multi-second fixed cost that dwarfs a pandas
-    fold whenever the intermediate fits comfortably on the driver, while
-    the bail-out keeps the op safe at any scale (one wasted partial pass,
-    bounded by limit_rows, in the big case).
+    Returns None if and only if the Dataset has more than ``limit_rows``
+    rows: the stream stops at the first batch past the limit and callers
+    fall back to their distributed plan (one wasted partial pass, bounded
+    by ``limit_rows``).  An empty Dataset returns a typed empty table: the
+    schema of the streamed batches, else the Dataset schema, else a
+    zero-column table.  Ray's all-to-all groupby has a multi-second fixed
+    cost that dwarfs a driver fold whenever the intermediate fits on the
+    driver, while the bail-out keeps the op safe at any scale.
     """
     frames: list[pa.Table] = []
     total = 0
+    schema = None
     for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         total += b.num_rows
         if total > limit_rows:
             return None
+        if schema is None:
+            schema = b.schema
         if b.num_rows:
             frames.append(b)
-    if not frames:
-        return None  # empty: let the caller's distributed path make the schema
-    return pa.concat_tables(frames)
+    if frames:
+        return pa.concat_tables(frames)
+    if schema is None:
+        sch = ds.schema()
+        if sch is None:
+            return pa.table({})
+        schema = pa.schema([(n, t if isinstance(t, pa.DataType) else pa.null())
+                            for n, t in zip(sch.names, sch.types)])
+    return schema.empty_table()

@@ -1,10 +1,10 @@
-"""Broadcast-lookup enrich stage (actor pool).
+"""Broadcast-lookup enrich stage.
 
 The north_star mandates a stateful enrich stage joining a broadcast
 source→(severity, service) lookup dictionary (SURVEY.md §2.3 ST6, §2.4).
 The build side is tiny, so this is a broadcast map-join — never a shuffle:
-``ray.put`` the dict ONCE on the driver, pass the ObjectRef to the actor
-constructor, ``ray.get`` it once per actor in ``__init__``.
+``ray.put`` the dict ONCE on the driver and fetch it once per worker
+process (``functions.util.fetch_broadcast``).
 
 The per-batch lookup is vectorized via dictionary encoding: only the batch's
 DISTINCT sources (≤ a few hundred) touch the Python dict; rows are filled by
@@ -16,42 +16,25 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from timberjack_ray.functions.util import fetch_broadcast
+
 UNKNOWN = ("unknown", "unknown")
-
-# per-worker-process cache of broadcast lookups (keyed by ObjectRef hex):
-# a stateless-task stage fetches the dict ONCE per worker, not per batch —
-# the broadcast stays broadcast without forcing an actor pool (which would
-# cap the fused upstream stages to the pool size).
-_LOOKUP_CACHE: dict[str, dict] = {}
-
-
-def _fetch_lookup(lookup_ref) -> dict:
-    import ray
-
-    if isinstance(lookup_ref, dict):
-        return lookup_ref
-    key = lookup_ref.hex()
-    if key not in _LOOKUP_CACHE:
-        _LOOKUP_CACHE[key] = ray.get(lookup_ref)
-    return _LOOKUP_CACHE[key]
 
 
 class EnrichStage:
-    """Usable two ways: as a pre-built instance → stateless tasks with the
-    per-worker cache above (default; elastic, fuses with neighbours); or as
-    a class with ``fn_constructor_kwargs`` → actor pool (fetch in __init__),
-    for when per-actor state is genuinely expensive."""
+    """Stateless per-batch enrich over the ``source`` column.
+    ``lookup_ref`` is a ``ray.put`` ObjectRef of the lookup dict (fetched
+    once per worker process, so the stage stays a stateless task that fuses
+    with its neighbours) or the dict itself."""
 
-    def __init__(self, lookup_ref, source_col: str = "source"):
+    def __init__(self, lookup_ref):
         self.lookup_ref = lookup_ref
         self.lookup: dict[str, tuple[str, str]] | None = None
-        self.source_col = source_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.lookup is None:
-            self.lookup = _fetch_lookup(self.lookup_ref)
-        col = batch[self.source_col]
-        enc = pc.dictionary_encode(col)
+            self.lookup = fetch_broadcast(self.lookup_ref)
+        enc = pc.dictionary_encode(batch["source"])
         if isinstance(enc, pa.ChunkedArray):
             sev_chunks, svc_chunks = [], []
             for chunk in enc.chunks:
@@ -72,28 +55,11 @@ class EnrichStage:
         return pc.take(sev_d, idx), pc.take(svc_d, idx)
 
 
-def enrich(ds, lookup: dict[str, tuple[str, str]], concurrency=None, batch_size: int | None = None):
-    """Attach severity/service columns via the broadcast lookup.
-
-    Default: stateless tasks (instance + per-worker cached ``ray.get``) so
-    the stage fuses with the adjacent parse/route stages and scales to every
-    core.  Pass ``concurrency=(min, max)`` to run as an actor pool instead
-    (the fused chain is then capped at the pool size — only worth it when
-    per-actor state is heavy)."""
+def enrich(ds, lookup: dict[str, tuple[str, str]]):
+    """Attach severity/service columns via the broadcast lookup, as
+    stateless tasks over whole blocks so the stage fuses with the adjacent
+    parse/route stages and scales to every core."""
     import ray
 
-    ref = ray.put(lookup)
-    if concurrency is not None:
-        return ds.map_batches(
-            EnrichStage,
-            fn_constructor_kwargs={"lookup_ref": ref},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    return ds.map_batches(
-        EnrichStage(lookup_ref=ref),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    return ds.map_batches(EnrichStage(lookup_ref=ray.put(lookup)),
+                          batch_format="pyarrow", batch_size=None)
