@@ -22,6 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from timberjack_ray.aggregates import bucket_exchange
+
 
 def _rp(sf_dir: str, name: str, columns=None):
     import ray.data as rd
@@ -1305,7 +1307,6 @@ def q_order_chain_components(sf_dir: str):
     per-customer Python); components run via graph.connected_components —
     driver union-find under the limit, distributed min-label propagation
     with pointer jumping past it (equality-tested paths)."""
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.graph import connected_components
 
     ds = _rp(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
@@ -1319,8 +1320,7 @@ def q_order_chain_components(sf_dir: str):
         return pa.table({"a": pa.array(keys[:-1][same], pa.int64()),
                          "b": pa.array(keys[1:][same], pa.int64())})
 
-    pairs = add_key_bucket(ds, "o_custkey", 64).groupby("__kb") \
-        .map_groups(lambda t: seg_edges(t), batch_format="pyarrow")
+    pairs = bucket_exchange(ds, ["o_custkey"], seg_edges, 64)
     out = connected_components(pairs)
     if not isinstance(out, pd.DataFrame):
         out = out.to_pandas()
@@ -2338,12 +2338,10 @@ def q_funnel_step_latency(sf_dir: str):
     each bucket emits (step, gap-seconds) HISTOGRAM partials; the
     quantile walk runs on the step×distinct-gap-bounded merge."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     steps = ["view", "click", "purchase"]
     ds = _rp(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    bucketed = add_key_bucket(
-        ds.select_columns(["user_id", "ts", "event_type"]), "user_id", 64)
     big = np.iinfo(np.int64).max
 
     def per_bucket(t: pa.Table) -> pa.Table:
@@ -2377,9 +2375,8 @@ def q_funnel_step_latency(sf_dir: str):
             prev = np.repeat(seg_min, sizes)
         return pa.concat_tables(outs) if outs else empty
 
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds.select_columns(["user_id", "ts", "event_type"]),
+                        ["user_id"], per_bucket, 64)
     h = merge_partials(p, ["step", "gap_s"], "n").to_pandas() \
         .sort_values(["step", "gap_s"])
     rows = []
@@ -2417,7 +2414,6 @@ def q_copurchase_top20(sf_dir: str):
     segmented d-offset pair expansion (fan-out bounded by order size) →
     guarded (u, v, n) edge fold → top-20 by (n desc, u, v)."""
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.graph import _offset_pairs
 
     def batch_distinct(t: pa.Table) -> pa.Table:
@@ -2445,10 +2441,7 @@ def q_copurchase_top20(sf_dir: str):
 
     ds = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    bucketed = add_key_bucket(ds, "l_orderkey", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds, ["l_orderkey"], per_bucket, 64)
     edges, mode = merge_partials_or_ds(p, ["u", "v"], ["n"])
     if mode != "driver":  # pragma: no cover - past the edge guard
         # degraded fold = a Dataset with each (u,v) edge exactly once:
@@ -2525,7 +2518,7 @@ def q_customer_ltv_curve(sf_dir: str):
     only (tenure_month, rev_c, n_orders) partials leave — bounded by the
     corpus time span, never customer count."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
     from timberjack_ray.functions.util import scale_to_int
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2556,10 +2549,7 @@ def q_customer_ltv_curve(sf_dir: str):
     ds = _rp(sf_dir, "orders",
              columns=["o_custkey", "o_orderdate", "o_totalprice"]) \
         .map_batches(prep, batch_format="pyarrow")
-    bucketed = add_key_bucket(ds, "c", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds, ["c"], per_bucket, 64)
     out = merge_partials(p, ["tenure_month"], ["rev_c", "n_orders"]) \
         .to_pandas()
     return out.sort_values("tenure_month").reset_index(drop=True) \
@@ -3263,7 +3253,6 @@ def q_tpch_q10(sf_dir: str):
     # a SECOND bucket exchange keyed by customer completes the sums and
     # top-20s in-bucket, so the driver merge sees ≤ 20 × n_buckets rows at
     # any customer cardinality (never a per-customer fold)
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     def cust_bucket_top(t: pa.Table) -> pa.Table:
         g = t.group_by("o_custkey").aggregate([("rev", "sum")])
@@ -3271,9 +3260,8 @@ def q_tpch_q10(sf_dir: str):
         return g.sort_by([("rev", "descending"),
                           ("o_custkey", "ascending")]).slice(0, 20)
 
-    tops = add_key_bucket(per_cust, "o_custkey", 32).groupby("__kb") \
-        .map_groups(lambda t: cust_bucket_top(t.drop_columns(["__kb"])),
-                    batch_format="pyarrow").to_pandas()
+    tops = bucket_exchange(per_cust, ["o_custkey"], cust_bucket_top,
+                           32).to_pandas()
     top = tops.sort_values(["rev", "o_custkey"],
                            ascending=[False, True]).head(20)
 
@@ -3531,7 +3519,6 @@ def q_basket_size_histogram(sf_dir: str):
     histogram (bounded by the largest basket) — the order-composition
     diagnostic feeding the co-purchase miner."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     def pre(t: pa.Table) -> pa.Table:
         return (t.select(["l_orderkey", "l_partkey"])
@@ -3554,10 +3541,7 @@ def q_basket_size_histogram(sf_dir: str):
 
     ds = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(pre, batch_format="pyarrow")
-    bucketed = add_key_bucket(ds, "l_orderkey", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds, ["l_orderkey"], per_bucket, 64)
     out = merge_partials(p, ["n_parts"], "n_orders").to_pandas()
     return out.sort_values("n_parts").reset_index(drop=True) \
         .astype({"n_parts": "int64", "n_orders": "int64"})
@@ -6187,7 +6171,6 @@ def q_order_gap_quantiles(sf_dir: str):
     partial, the merge is gap-domain-bounded, and the driver does the
     cumulative type-1 walk (the exact_quantiles rule)."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     DAY = 86_400_000_000
 
@@ -6217,10 +6200,7 @@ def q_order_gap_quantiles(sf_dir: str):
     ds = _rp(sf_dir, "orders",
              columns=["o_custkey", "o_orderdate", "o_orderkey"]) \
         .map_batches(prep, batch_format="pyarrow")
-    bucketed = add_key_bucket(ds, "c", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds, ["c"], per_bucket, 64)
     hist = merge_partials(p, ["gap_days"], "n").to_pandas() \
         .sort_values("gap_days").reset_index(drop=True)
     if not len(hist):  # no customer has two orders at this scale
@@ -6371,7 +6351,6 @@ def q_rolling_7d_active_users(sf_dir: str):
     by the calendar domain — merge on the driver.  Days with zero events
     are not emitted (the SQL active-day join semantics)."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     DAY = 86_400_000_000
     WIN = 7
@@ -6410,10 +6389,7 @@ def q_rolling_7d_active_users(sf_dir: str):
 
     ds = _rp(sf_dir, "events", columns=["user_id", "ts"]) \
         .map_batches(pairs_batch, batch_format="pyarrow")
-    bucketed = add_key_bucket(ds, "u", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds, ["u"], per_bucket, 64)
     m = merge_partials(p, ["day"], ["n", "real"]).to_pandas()
     m = m[m["real"] > 0].sort_values("day")[["day", "n"]] \
         .reset_index(drop=True)
@@ -6495,7 +6471,6 @@ def q_tpch_q10_top20(sf_dir: str):
     semantics, no shuffle)."""
     import pyarrow.parquet as pq
 
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.relational import bucket_hash_join
     from timberjack_ray.functions.util import scale_to_int
 
@@ -6539,9 +6514,7 @@ def q_tpch_q10_top20(sf_dir: str):
         return g.sort_by([("revenue_scaled", "descending"),
                           ("c_custkey", "ascending")]).slice(0, 20)
 
-    tops = add_key_bucket(partials, "o_custkey", 32).groupby("__kb") \
-        .map_groups(lambda t: cust_top(t.drop_columns(["__kb"])),
-                    batch_format="pyarrow").to_pandas()
+    tops = bucket_exchange(partials, ["o_custkey"], cust_top, 32).to_pandas()
     top20 = tops.sort_values(["revenue_scaled", "c_custkey"],
                              ascending=[False, True]).head(20) \
         .reset_index(drop=True)
@@ -6629,8 +6602,7 @@ def q_minhash_lsh_pairs(sf_dir: str):
     bempty = pa.table({"band": pa.array([], pa.int64()),
                        "m0": pa.array([], pa.int64()),
                        "m1": pa.array([], pa.int64()),
-                       "doc": pa.array([], pa.int64()),
-                       "__kb": pa.array([], pa.int64())})
+                       "doc": pa.array([], pa.int64())})
 
     def to_bands(t: pa.Table) -> pa.Table:
         s = minhash_horner_signature(t)
@@ -6644,26 +6616,20 @@ def q_minhash_lsh_pairs(sf_dir: str):
         docs = ids[order][::N_PERM]
         parts = []
         for b in range(N_PERM // R):
-            m0, m1 = sig[:, R * b], sig[:, R * b + 1]
-            with np.errstate(over="ignore"):  # intentional mod-2^64 mix
-                h = (np.uint64(b) * np.uint64(0x9E3779B97F4A7C15)
-                     + m0.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-                     + m1.astype(np.uint64) * np.uint64(0x165667B19E3779F9))
             parts.append(pa.table({
                 "band": pa.array(np.full(len(docs), b, np.int64)),
-                "m0": pa.array(m0), "m1": pa.array(m1),
-                "doc": pa.array(docs.astype(np.int64)),
-                "__kb": pa.array((h % np.uint64(64)).astype(np.int64))}))
+                "m0": pa.array(sig[:, R * b]),
+                "m1": pa.array(sig[:, R * b + 1]),
+                "doc": pa.array(docs.astype(np.int64))}))
         return pa.concat_tables(parts)
 
     from timberjack_ray.functions.dedup import bucket_pair_expand
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
     bands = ds.map_batches(to_bands, batch_format="pyarrow")
-    pairs = bands.groupby("__kb").map_groups(
-        lambda t: bucket_pair_expand(t.drop_columns(["__kb"]),
-                                     ["band", "m0", "m1"]),
-        batch_format="pyarrow").to_pandas()
+    key = ["band", "m0", "m1"]
+    pairs = bucket_exchange(bands, key, lambda t: bucket_pair_expand(t, key),
+                            64).to_pandas()
     if not len(pairs):
         return pd.DataFrame({"a": pd.Series([], dtype="int64"),
                              "b": pd.Series([], dtype="int64"),
@@ -6716,8 +6682,7 @@ def q_simhash_lsh_pairs(sf_dir: str):
     N_BANDS, BITS, MAX_HAM = 4, 16, 3
     bempty = pa.table({"band": pa.array([], pa.int64()),
                        "bkey": pa.array([], pa.int64()),
-                       "doc": pa.array([], pa.int64()),
-                       "__kb": pa.array([], pa.int64())})
+                       "doc": pa.array([], pa.int64())})
 
     def to_bands(t: pa.Table) -> pa.Table:
         s = simhash16_horner(t, n_bits=64)
@@ -6728,24 +6693,19 @@ def q_simhash_lsh_pairs(sf_dir: str):
         parts = []
         for b in range(N_BANDS):
             bkey = (sig >> np.uint64(BITS * b)) & np.uint64(0xFFFF)
-            with np.errstate(over="ignore"):  # intentional mod-2^64 mix
-                h = (np.uint64(b) * np.uint64(0x9E3779B97F4A7C15)
-                     + bkey * np.uint64(0xC2B2AE3D27D4EB4F))
             parts.append(pa.table({
                 "band": pa.array(np.full(len(docs), b, np.int64)),
                 "bkey": pa.array(bkey.astype(np.int64)),
-                "doc": pa.array(docs.astype(np.int64)),
-                "__kb": pa.array((h % np.uint64(64)).astype(np.int64))}))
+                "doc": pa.array(docs.astype(np.int64))}))
         return pa.concat_tables(parts)
 
     from timberjack_ray.functions.dedup import bucket_pair_expand
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
     bands = ds.map_batches(to_bands, batch_format="pyarrow")
-    pairs = bands.groupby("__kb").map_groups(
-        lambda t: bucket_pair_expand(t.drop_columns(["__kb"]),
-                                     ["band", "bkey"]),
-        batch_format="pyarrow").to_pandas()
+    key = ["band", "bkey"]
+    pairs = bucket_exchange(bands, key, lambda t: bucket_pair_expand(t, key),
+                            64).to_pandas()
     out_empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
                               "b": pd.Series([], dtype="int64"),
                               "hamming": pd.Series([], dtype="int64")})
@@ -7819,7 +7779,6 @@ def q_priority_transition_counts(sf_dir: str):
     bucket a lexsort + boundary-masked shift; merge bounded at
     priorities² rows."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     ds = _rp(sf_dir, "orders",
              columns=["o_custkey", "o_orderkey", "o_orderdate",
@@ -7841,9 +7800,7 @@ def q_priority_transition_counts(sf_dir: str):
             .aggregate([([], "count_all")])
         return g.rename_columns(["prio_from", "prio_to", "n"])
 
-    parts = add_key_bucket(ds, "o_custkey", 32).groupby("__kb").map_groups(
-        lambda t: bucket_fn(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    parts = bucket_exchange(ds, ["o_custkey"], bucket_fn, 32)
     out = merge_partials(parts, ["prio_from", "prio_to"], "n").to_pandas()
     return out.sort_values(["prio_from", "prio_to"]) \
         .reset_index(drop=True).astype({"n": "int64"})
@@ -7860,7 +7817,6 @@ def q_user_activity_gini(sf_dir: str):
     contribute v·(m·r0 + m(m+1)/2).  gini_ppm = floor ppm of
     (2·WRS − (n+1)·total) / (n·total)."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.relational import _ratio_ppm
 
     ds = _rp(sf_dir, "events", columns=["user_id"])
@@ -7871,9 +7827,7 @@ def q_user_activity_gini(sf_dir: str):
         h = g.group_by("k").aggregate([([], "count_all")])
         return h.rename_columns(["k", "m"])
 
-    parts = add_key_bucket(ds, "user_id", 32).groupby("__kb").map_groups(
-        lambda t: bucket_fn(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    parts = bucket_exchange(ds, ["user_id"], bucket_fn, 32)
     hist = merge_partials(parts, ["k"], "m").to_pandas().sort_values("k")
     k = hist["k"].to_numpy(np.int64).astype(object)
     m = hist["m"].to_numpy(np.int64).astype(object)
@@ -7894,7 +7848,6 @@ def q_orders_per_customer_hist(sf_dir: str):
     count, per-bucket count-of-counts partials merge bounded by the max
     order count — per-key results never reach the driver."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     ds = _rp(sf_dir, "orders", columns=["o_custkey"])
 
@@ -7904,9 +7857,7 @@ def q_orders_per_customer_hist(sf_dir: str):
         h = g.group_by("k").aggregate([([], "count_all")])
         return h.rename_columns(["n_orders", "n_customers"])
 
-    parts = add_key_bucket(ds, "o_custkey", 32).groupby("__kb").map_groups(
-        lambda t: bucket_fn(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    parts = bucket_exchange(ds, ["o_custkey"], bucket_fn, 32)
     out = merge_partials(parts, ["n_orders"], "n_customers").to_pandas()
     return out.sort_values("n_orders").reset_index(drop=True) \
         .astype({"n_orders": "int64", "n_customers": "int64"})
@@ -7963,7 +7914,6 @@ def q_session_duration_hist(sf_dir: str):
     vectorized gap/boundary segmentation, and min/max reduceat per
     session."""
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     GAP_US, MIN_US = 3_600_000_000, 60_000_000
     ds = _rp(sf_dir, "events", columns=["user_id", "ts"])
@@ -7986,9 +7936,7 @@ def q_session_duration_hist(sf_dir: str):
             .group_by("duration_min").aggregate([([], "count_all")])
         return g.rename_columns(["duration_min", "n_sessions"])
 
-    parts = add_key_bucket(ds, "user_id", 32).groupby("__kb").map_groups(
-        lambda t: bucket_fn(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    parts = bucket_exchange(ds, ["user_id"], bucket_fn, 32)
     out = merge_partials(parts, ["duration_min"], "n_sessions").to_pandas()
     return out.sort_values("duration_min").reset_index(drop=True) \
         .astype({"duration_min": "int64", "n_sessions": "int64"})
@@ -8976,7 +8924,6 @@ def q_copurchase_lift_top20(sf_dir: str):
     ints and SQL HUGEINT."""
     from timberjack_ray.aggregates import merge_partials, \
         merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.graph import _offset_pairs
 
     def batch_distinct(t: pa.Table) -> pa.Table:
@@ -9004,10 +8951,7 @@ def q_copurchase_lift_top20(sf_dir: str):
 
     gi = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    bucketed = add_key_bucket(gi, "l_orderkey", 64)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(gi, ["l_orderkey"], per_bucket, 64)
     edges, mode = merge_partials_or_ds(p, ["u", "v"], ["n"])
 
     def deg_bucket(t: pa.Table) -> pa.Table:
@@ -9024,11 +8968,8 @@ def q_copurchase_lift_top20(sf_dir: str):
         return pa.table({"g": u, "one": pa.array(
             np.ones(len(u), np.int64))})
 
-    deg = merge_partials(
-        bucketed.groupby("__kb").map_groups(
-            lambda t: deg_bucket(t.drop_columns(["__kb"])),
-            batch_format="pyarrow"),
-        ["i"], ["c"]).to_pandas()
+    deg = merge_partials(bucket_exchange(gi, ["l_orderkey"], deg_bucket, 64),
+                         ["i"], ["c"]).to_pandas()
     nb = merge_partials(gi.map_batches(ord_partial,
                                        batch_format="pyarrow"),
                         ["g"], ["one"]).to_pandas()
@@ -9240,7 +9181,6 @@ def q_part_shortest_costs(sf_dir: str):
     rounds as SEMANTICS so the oracle unrolls each relaxation as one
     min-fold CTE."""
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.graph import (_offset_pairs,
                                                 bellman_ford_bounded)
 
@@ -9269,9 +9209,7 @@ def q_part_shortest_costs(sf_dir: str):
 
     gi = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    p = add_key_bucket(gi, "l_orderkey", 64).groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(gi, ["l_orderkey"], per_bucket, 64)
     edges, mode = merge_partials_or_ds(p, ["u", "v"], ["n"])
     if mode != "driver":  # pragma: no cover - past the edge guard
         # stream straight into the broadcast-map degrade: cost transform
@@ -9298,7 +9236,6 @@ def q_frequent_triples(sf_dir: str):
     guarded multi-key merge degrades to a distributed groupby past the
     driver limit, and only support >= 2 survivors rank."""
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.relational import sorted_topk
 
     def batch_distinct(t: pa.Table) -> pa.Table:
@@ -9341,9 +9278,7 @@ def q_frequent_triples(sf_dir: str):
 
     gi = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    p = add_key_bucket(gi, "l_orderkey", 64).groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(gi, ["l_orderkey"], per_bucket, 64)
     merged, mode = merge_partials_or_ds(p, ["x", "y", "z"], ["n"])
     if mode == "driver":
         df = merged.to_pandas()
@@ -9394,7 +9329,6 @@ def q_part_widest_ties(sf_dir: str):
     width = the documented 10^9 source convention.  Same unrolled
     per-round fold oracle, MAX(MIN(width, w))."""
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.graph import (_offset_pairs,
                                                 widest_path_bounded)
 
@@ -9423,9 +9357,7 @@ def q_part_widest_ties(sf_dir: str):
 
     gi = _rp(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    p = add_key_bucket(gi, "l_orderkey", 64).groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(gi, ["l_orderkey"], per_bucket, 64)
     edges, mode = merge_partials_or_ds(p, ["u", "v"], ["n"])
     if mode != "driver":  # pragma: no cover
         # stream into the (max, min)-semiring broadcast-map degrade

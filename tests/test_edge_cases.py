@@ -159,6 +159,55 @@ def test_rollup_single_key_and_empty(ray_session):
     assert len(out0) == 0
 
 
+def _near_dup(ds):
+    from timberjack_ray.functions.similarity import embedding_near_dup
+
+    return embedding_near_dup(ds, threshold=0.0)
+
+
+def _range_stats(ds):
+    from timberjack_ray.functions.relational import range_partition_stats
+
+    return range_partition_stats(ds, "x", n_ranges=2)
+
+
+def _zorder_stats(ds):
+    from timberjack_ray.functions.relational import zorder_layout_stats
+
+    return zorder_layout_stats(ds, "x", "y", n_ranges=2)
+
+
+def _columns(out):
+    """(name, type) pairs of a pandas frame or a Dataset result."""
+    import pandas as pd
+
+    if isinstance(out, pd.DataFrame):
+        return [(c, str(t)) for c, t in out.dtypes.items()]
+    s = out.schema()
+    return list(zip(s.names, map(str, s.types)))
+
+
+@pytest.mark.parametrize("op, table", [
+    (_near_dup, {"vec_id": [1, 2, 3],
+                 "embedding": [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]]}),
+    (_range_stats, {"x": [1, 2, 3]}),
+    (_zorder_stats, {"x": [1, 2, 3], "y": [3, 1, 2]}),
+], ids=["embedding_near_dup", "range_partition_stats", "zorder_layout_stats"])
+def test_empty_input_typed_result(ray_session, op, table):
+    """A 0-row input returns 0 rows with the columns and dtypes of the
+    non-empty path, not an IndexError/KeyError."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    t = pa.table(table)
+    full = op(rd.from_arrow(t))
+    empty = op(rd.from_arrow(t.slice(0, 0)))
+    assert (len(empty) if isinstance(empty, pd.DataFrame)
+            else empty.count()) == 0
+    assert _columns(empty) == _columns(full)
+
+
 def test_windower_empty_and_single(ray_session):
     import numpy as np
 

@@ -70,3 +70,29 @@ def test_runtime_dicts_match_literals():
 
     assert list(entrymod.queries().keys()) == _literal_dict_keys("queries")
     assert list(entrymod.oracle_sql().keys()) == _literal_dict_keys("oracle_sql")
+
+
+def test_one_bucket_exchange():
+    """Every hash-bucket exchange goes through ``aggregates.bucket_exchange``
+    (one key hash, ``bucket_ids``): no other module groups on a bucket
+    column, and no per-module bucketing helper is defined again."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "timberjack_ray").rglob("*.py")) \
+        + [root / "__ray_entry__.py"]
+    bucket_groupby = re.compile(r'groupby\(\s*"__(?:kb|b|bucket)"\s*\)')
+    offenders, defined = [], []
+    for path in sources:
+        text = path.read_text()
+        rel = path.relative_to(root)
+        if path.name != "aggregates.py":
+            for m in bucket_groupby.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                offenders.append(f"{rel}:{line}")
+        defined += [f"{rel}:{node.lineno}" for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "add_key_bucket"]
+    assert not offenders, offenders
+    assert not defined, defined

@@ -55,39 +55,68 @@ def test_grouped_aggregate_ds_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got, exp)
 
 
-def test_grouped_aggregate_ds_null_keys_consistent(ray_session):
-    """Round-5 review fix: an int key column with nulls in SOME batches
-    must bucket identically to null-free batches — one output row per
-    key, and null keys aggregate as one group."""
-    import ray.data as rd
-
+def _exchange_grouped_sum(ds, n_buckets):
     from timberjack_ray.aggregates import grouped_aggregate_ds
+
+    return grouped_aggregate_ds(ds, ["k"], [("v", "sum", "s")],
+                                n_buckets=n_buckets)
+
+
+def _exchange_interarrival(ds, n_buckets):
+    from timberjack_ray.functions.corpus import interarrival_stats_ds
+
+    return interarrival_stats_ds(ds, "k", "v", n_buckets)
+
+
+def _exchange_grace_join(ds, n_buckets):
+    """GRACE join of ``ds`` with one right row per key; the bucket hook
+    keeps one row per key, so each output batch lists one bucket's keys."""
+    from timberjack_ray.functions.relational import bucket_hash_join
+
+    right = ds.map_batches(
+        lambda t: t.group_by("k").aggregate([]).rename_columns(["rk"]),
+        batch_format="pyarrow")
+    return bucket_hash_join(
+        ds, right, "k", "rk", ["v"], [], n_buckets=n_buckets,
+        bucket_fn=lambda t: t.group_by("k").aggregate([]))
+
+
+@pytest.mark.parametrize("exchange, col, want", [
+    (_exchange_grouped_sum, "s", {5: 15, 7: 22, 9: 30, None: 3}),
+    # keys with fewer than two events have no gap and no row
+    (_exchange_interarrival, "n_gaps", {5: 2, 7: 1}),
+], ids=["grouped_aggregate_ds", "interarrival_stats_ds"])
+def test_grouped_aggregate_ds_null_keys_consistent(ray_session, exchange,
+                                                   col, want):
+    """Round-5 review fix, for every bucket exchange: an int key column
+    with nulls in SOME batches must bucket identically to null-free
+    batches — one output row per key, and null keys form one group."""
+    import ray.data as rd
 
     a = pd.DataFrame({"k": pd.array([5, 7, None, 5], dtype="Int64"),
                       "v": [1, 2, 3, 4]})
     b = pd.DataFrame({"k": pd.array([5, 7, 9], dtype="Int64"),
                       "v": [10, 20, 30]})
     ds = rd.from_pandas(a).union(rd.from_pandas(b))
-    got = grouped_aggregate_ds(ds, ["k"], [("v", "sum", "s")],
-                               n_buckets=8).to_pandas()
-    got = got.sort_values("k", na_position="last").reset_index(drop=True)
-    assert len(got) == 4  # 5, 7, 9, null — no split keys
-    assert got.loc[got["k"] == 5, "s"].iloc[0] == 15
-    assert got.loc[got["k"] == 7, "s"].iloc[0] == 22
-    assert got.loc[got["k"].isna(), "s"].iloc[0] == 3
+    got = exchange(ds, 8).to_pandas()
+    assert len(got) == len(want), got  # no split keys
+    for k, v in want.items():
+        rows = got[got["k"].isna()] if k is None else got[got["k"] == k]
+        assert rows[col].tolist() == [v], (k, got)
 
 
-def test_grouped_aggregate_ds_strided_keys_spread(ray_session):
-    """Round-5 review fix: keys that are multiples of 256 (hourly µs
-    window starts) must spread over buckets, not alias into bucket 0."""
+@pytest.mark.parametrize("exchange", [
+    _exchange_grouped_sum, _exchange_interarrival, _exchange_grace_join,
+], ids=["grouped_aggregate_ds", "interarrival_stats_ds", "bucket_hash_join"])
+def test_grouped_aggregate_ds_strided_keys_spread(ray_session, exchange):
+    """Round-5 review fix, for every bucket exchange: keys that are
+    multiples of 256 (hourly µs window starts) must spread over buckets,
+    not alias into bucket 0."""
     import ray.data as rd
 
-    from timberjack_ray.aggregates import grouped_aggregate_ds
-
     ks = np.arange(64, dtype=np.int64) * 3_600_000_000
-    df = pd.DataFrame({"k": np.repeat(ks, 3), "v": 1})
-    got = grouped_aggregate_ds(rd.from_pandas(df).repartition(4),
-                               ["k"], [("v", "sum", "s")], n_buckets=16) \
+    df = pd.DataFrame({"k": np.repeat(ks, 3), "v": np.arange(3 * 64)})
+    got = exchange(rd.from_pandas(df).repartition(4), 16) \
         .map_batches(lambda t: pa.table(
             {"n": pa.array([t.num_rows], pa.int64())}),
             batch_format="pyarrow").to_pandas()

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from timberjack_ray.aggregates import merge_partials
+from timberjack_ray.aggregates import bucket_exchange, merge_partials
 
 # Knuth multiplicative constant (2^32 / phi) for order-scrambling sampling.
 KNUTH32 = 2654435761
@@ -144,26 +144,6 @@ def hash_sample(ds, id_col: str, keep_per_4096: int):
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
-def add_key_bucket(ds, key_col: str, n_buckets: int,
-                   out_col: str = "__kb"):
-    """Append ``hash(key) % n_buckets`` — the co-partitioning key for
-    per-key ops: grouping by the BUCKET instead of the raw key turns
-    millions of one-group-per-key Python calls into a few hundred calls,
-    each processing all of its keys with vectorized segmented kernels."""
-
-    def f(t: pa.Table) -> pa.Table:
-        raw = t[key_col].to_numpy(zero_copy_only=False)
-        if np.issubdtype(raw.dtype, np.integer):
-            ids = raw.astype(np.uint64)
-            h = (ids * np.uint64(KNUTH32)) % np.uint64(_POW32)
-        else:  # strings etc.: process-stable vectorized siphash
-            h = pd.util.hash_array(raw.astype(object)).astype(np.uint64)
-        b = h % np.uint64(n_buckets)
-        return t.append_column(out_col, pa.array(b.astype(np.int64)))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 def _segments(keys_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(segment starts, sizes) of equal-key runs in a sorted key array."""
     starts = np.flatnonzero(np.r_[True, keys_sorted[1:] != keys_sorted[:-1]])
@@ -214,9 +194,7 @@ def interarrival_stats_ds(ds, key_col: str, ts_col: str,
             "max_gap_us": pa.array(maxs[keep]),
         })
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def interarrival_stats(ds, key_col: str, ts_col: str,
@@ -463,10 +441,6 @@ def continuation_topk(ds, k: int = 15, col: str = "text",
         return pa.table({"w": right.filter(am), "ctx": left.filter(am)}) \
             .group_by(["w", "ctx"]).aggregate([])
 
-    bucketed = add_key_bucket(
-        ds.map_batches(pairs_partial, batch_format="pyarrow"), "w",
-        n_buckets)
-
     def per_bucket(t: pa.Table) -> pa.Table:
         w = t["w"].to_numpy(zero_copy_only=False)
         c = t["ctx"].to_numpy(zero_copy_only=False)
@@ -482,10 +456,10 @@ def continuation_topk(ds, k: int = 15, col: str = "text",
                          "n_contexts": pa.array(sizes[top]
                                                 .astype(np.int64))})
 
-    parts = [b for b in bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow").iter_batches(batch_size=None,
-                                             batch_format="pyarrow")
+    parts = [b for b in bucket_exchange(
+        ds.map_batches(pairs_partial, batch_format="pyarrow"), ["w"],
+        per_bucket, n_buckets).iter_batches(batch_size=None,
+                                            batch_format="pyarrow")
         if b.num_rows]
     if not parts:
         return pd.DataFrame({"word": pd.Series([], dtype="object"),
@@ -931,8 +905,6 @@ def balanced_shards(ds, size_col: str, id_col: str, k: int,
     asc = np.argsort(vals_desc)
     ref = ray.put((vals_desc[asc], offsets[asc]))
 
-    bucketed = add_key_bucket(proj, size_col, n_buckets)
-
     def per_bucket(t: pa.Table) -> pa.Table:
         v = t[size_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -946,9 +918,7 @@ def balanced_shards(ds, size_col: str, id_col: str, k: int,
                          size_col: pa.array(vs),
                          "shard": pa.array((base + tie) % k)})
 
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(proj, [size_col], per_bucket, n_buckets)
 
 
 def chunk_dedup(ds, chunk_words: int = 10, id_col: str = "doc_id",
@@ -1059,10 +1029,7 @@ def inverted_index(ds, id_col: str = "doc_id", col: str = "text",
                          "postings": pa.array(posts, pa.string())})
 
     p = ds.map_batches(pairs, batch_format="pyarrow")
-    bucketed = add_key_bucket(p, "word", n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(p, ["word"], per_bucket, n_buckets)
 
 
 def grouped_exact_sample(ds, group_col: str, id_col: str, k: int):
@@ -1175,7 +1142,6 @@ def item_group_overlap(ds, group_col: str, item_col: str) -> pd.DataFrame:
         return u.select(["item", "m"])
 
     pairs = ds.map_batches(partial, batch_format="pyarrow")
-    bucketed = add_key_bucket(pairs, "item", 256)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         w = t["item"].to_numpy(zero_copy_only=False)
@@ -1198,9 +1164,7 @@ def item_group_overlap(ds, group_col: str, item_col: str) -> pd.DataFrame:
                          "n": pa.array(cooc[ai, bj].astype(np.int64))})
 
     cooc = merge_partials(
-        bucketed.groupby("__kb").map_groups(
-            lambda t: per_bucket(t.drop_columns(["__kb"])),
-            batch_format="pyarrow"),
+        bucket_exchange(pairs, ["item"], per_bucket, 256),
         ["ai", "bj"], "n").to_pandas()
     mat = np.zeros((n_src, n_src), dtype=np.int64)
     mat[cooc["ai"].to_numpy(), cooc["bj"].to_numpy()] = \
@@ -1706,11 +1670,8 @@ def quantile_normalize_ds(ds, group_col: str, val_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids),
                          out_col: pa.array(vals[idx])})
 
-    bucketed = add_key_bucket(ds.select_columns(
-        [group_col, val_col, id_col]), group_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds.select_columns([group_col, val_col, id_col]),
+                           [group_col], per_bucket, n_buckets)
 
 
 def priority_sample_bottomk(ds, id_col: str, weight_col: str, k: int):

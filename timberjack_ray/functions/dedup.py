@@ -28,6 +28,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from timberjack_ray.aggregates import bucket_exchange
+
 _MERSENNE = np.uint64((1 << 61) - 1)
 
 
@@ -320,13 +322,9 @@ def candidate_pairs(band_ds, num_perm: int = 64, threshold: float = 0.7,
     # distributed: coarse-bucket the band hashes so each map_groups call
     # pairs MANY buckets with the one-lexsort segmented kernel (grouping on
     # the raw (band, hash) key would be per-bucket Python at LSH scale)
-    from timberjack_ray.functions.corpus import add_key_bucket
-
-    return add_key_bucket(filtered, "band_hash", 256).groupby("__kb") \
-        .map_groups(
-            lambda t: _pairs_segmented(t.drop_columns(["__kb"]), threshold,
-                                       max_bucket),
-            batch_format="pyarrow")
+    return bucket_exchange(
+        filtered, ["band_hash"],
+        lambda t: _pairs_segmented(t, threshold, max_bucket), 256)
 
 
 def minhash_dedup(ds, col: str = "text", num_perm: int = 64, bands: int = 16,
@@ -461,13 +459,9 @@ def simhash_candidates(ds, col: str = "text", concurrency=None):
         })
 
     banded = sh.map_batches(explode, batch_format="pyarrow")
-    from timberjack_ray.functions.corpus import add_key_bucket
-
     # coarse-bucket the 16-bit band keys: each map_groups call pairs MANY
     # (band, key) buckets with one segmented vectorized pass
-    return add_key_bucket(banded, "key", 256).groupby("__kb").map_groups(
-        lambda t: _simhash_pairs_segmented(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(banded, ["key"], _simhash_pairs_segmented, 256)
 
 
 def _simhash_pairs_segmented(t: pa.Table, max_ham: int = 3,
@@ -774,15 +768,14 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.6, k: int = 3,
     # lexsort + unique-pair triu + chunked exact intersection — never a
     # per-gram or per-pair Python call); nested Ray tasks stay off inside
     # dataset workers (use_ray_tasks=False)
-    from timberjack_ray.functions.corpus import add_key_bucket
-
     filtered = prefix_rows.map_batches(filter_hot, batch_format="pyarrow")
-    pairs = add_key_bucket(filtered, "gram", 256).groupby("__kb").map_groups(
+    pairs = bucket_exchange(
+        filtered, ["gram"],
         lambda t: pa.Table.from_pandas(
-            _jaccard_small_fold(t.drop_columns(["__kb"]), threshold, id_col,
-                                max_bucket, use_ray_tasks=False),
+            _jaccard_small_fold(t, threshold, id_col, max_bucket,
+                                use_ray_tasks=False),
             preserve_index=False),
-        batch_format="pyarrow")
+        256)
     # a pair found in several gram buckets dedups with a C-side aggregate
     # (values are identical per pair, so min == first)
 
@@ -1434,7 +1427,7 @@ def curation_kill_reasons(train_ds, bench_ds, col: str = "text",
     import ray
 
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     grams = benchmark_gram_set(bench_ds, col, k)
     ref = ray.put(grams)
@@ -1463,9 +1456,6 @@ def curation_kill_reasons(train_ds, bench_ds, col: str = "text",
                                            .astype(np.int64)),
                          "contam": pa.array((hits > 0).astype(np.int64))})
 
-    bucketed = add_key_bucket(
-        train_ds.map_batches(flags, batch_format="pyarrow"), "chash", 256)
-
     def per_bucket(t: pa.Table) -> pa.Table:
         ch = t["chash"].to_numpy(zero_copy_only=False)
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -1489,9 +1479,8 @@ def curation_kill_reasons(train_ds, bench_ds, col: str = "text",
                          "n_docs": pa.array(n[nz].astype(np.int64))})
 
     out = merge_partials(
-        bucketed.groupby("__kb").map_groups(
-            lambda t: per_bucket(t.drop_columns(["__kb"])),
-            batch_format="pyarrow"),
+        bucket_exchange(train_ds.map_batches(flags, batch_format="pyarrow"),
+                        ["chash"], per_bucket, 256),
         ["r"], "n_docs").to_pandas()
     names = np.array(["short", "exact_dup", "contaminated", "kept"])
     out["reason"] = names[out["r"].to_numpy()]
@@ -1518,7 +1507,7 @@ def ngram_novelty(ds, col: str = "text", id_col: str = "doc_id",
     (gram, doc) pair set.
     """
 
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def pairs(t: pa.Table) -> pa.Table:
         texts = t[col].to_pylist()
@@ -1533,9 +1522,6 @@ def ngram_novelty(ds, col: str = "text", id_col: str = "doc_id",
             .group_by(["gh", id_col]).aggregate([])
         return g
 
-    bucketed = add_key_bucket(
-        ds.map_batches(pairs, batch_format="pyarrow"), "gh", n_buckets)
-
     def per_bucket(t: pa.Table) -> pa.Table:
         gh = t["gh"].to_numpy(zero_copy_only=False)
         d = t[id_col].to_numpy(zero_copy_only=False)
@@ -1549,9 +1535,8 @@ def ngram_novelty(ds, col: str = "text", id_col: str = "doc_id",
                                          ([], "count_all")])
         return g.rename_columns([id_col, "n_novel", "n_grams"])
 
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                               ["gh"], per_bucket, n_buckets)
     from timberjack_ray.aggregates import grouped_aggregate_ds
 
     return grouped_aggregate_ds(

@@ -34,7 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.aggregates import grouped_aggregate_ds, merge_partials
+from timberjack_ray.aggregates import (bucket_exchange, grouped_aggregate_ds,
+                                       merge_partials)
 
 
 def _union_find_components(a: np.ndarray, b: np.ndarray) -> pd.DataFrame:
@@ -372,7 +373,6 @@ def cooccurrence_triangles(ds, group_col: str, item_col: str,
     import pyarrow.compute as pc
 
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     empty = pa.table({"u": pa.array([], pa.int64()),
                       "v": pa.array([], pa.int64()),
@@ -400,10 +400,7 @@ def cooccurrence_triangles(ds, group_col: str, item_col: str,
         return gby.rename_columns(["u", "v", "n"])
 
     proj = ds.map_batches(batch_distinct, batch_format="pyarrow")
-    bucketed = add_key_bucket(proj, group_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(proj, [group_col], per_bucket, n_buckets)
     edges, mode = merge_partials_or_ds(partials, ["u", "v"], ["n"],
                                        edge_driver_limit)
     if mode == "driver":
@@ -425,7 +422,6 @@ def _triangle_census_distributed(edges_ds, n_buckets: int,
     edges_ds = edges_ds.materialize()
 
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.relational import bucket_hash_join
     from timberjack_ray.functions.util import fetch_broadcast, sorted_lookup
 
@@ -485,10 +481,7 @@ def _triangle_census_distributed(edges_ds, n_buckets: int,
             .group_by(["wkey"]).aggregate([([], "count_all")])
         return g.rename_columns(["wkey", "m"])
 
-    wedges = add_key_bucket(oriented, "s", n_buckets) \
-        .groupby("__kb").map_groups(
-            lambda t: wedge_bucket(t.drop_columns(["__kb"])),
-            batch_format="pyarrow")
+    wedges = bucket_exchange(oriented, ["s"], wedge_bucket, n_buckets)
     ekeys = oriented.map_batches(
         lambda t: pa.table({"ekey": t["ekey"],
                             "one": pa.array(np.ones(t.num_rows,
@@ -517,7 +510,6 @@ def cooccurrence_edges(ds, group_col: str, item_col: str,
     import pyarrow.compute as pc
 
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     empty = pa.table({"u": pa.array([], pa.int64()),
                       "v": pa.array([], pa.int64()),
@@ -545,10 +537,7 @@ def cooccurrence_edges(ds, group_col: str, item_col: str,
         return gby.rename_columns(["u", "v", "n"])
 
     proj = ds.map_batches(batch_distinct, batch_format="pyarrow")
-    bucketed = add_key_bucket(proj, group_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(proj, [group_col], per_bucket, n_buckets)
     return merge_partials_or_ds(partials, ["u", "v"], ["n"],
                                 edge_driver_limit)
 
@@ -735,7 +724,6 @@ def common_neighbors_topk(edges, k: int = 20, degree_cap: int = 48,
     import ray
 
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.relational import (bucket_hash_join,
                                                      sorted_topk)
     from timberjack_ray.functions.util import collect_table_under
@@ -797,9 +785,7 @@ def common_neighbors_topk(edges, k: int = 20, degree_cap: int = 48,
         return g.rename_columns(["pkey", "cn"])
 
     sym = edges.map_batches(sym_center, batch_format="pyarrow")
-    partials = add_key_bucket(sym, "c", n_buckets).groupby("__kb") \
-        .map_groups(lambda t: pair_bucket(t.drop_columns(["__kb"])),
-                    batch_format="pyarrow")
+    partials = bucket_exchange(sym, ["c"], pair_bucket, n_buckets)
     pairs, mode = merge_partials_or_ds(partials, ["pkey"], ["cn"],
                                        pair_driver_limit)
     if mode == "driver":
@@ -1190,7 +1176,6 @@ def neighbor_jaccard_topk(edges, k: int = 20, degree_cap: int = 48,
     import ray
 
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import add_key_bucket
     from timberjack_ray.functions.util import (collect_table_under,
                                                fetch_broadcast)
 
@@ -1257,9 +1242,7 @@ def neighbor_jaccard_topk(edges, k: int = 20, degree_cap: int = 48,
         return xs, ys, cn * JACCARD_SCALE // (dx + dy - cn)
 
     sym = edges.map_batches(sym_center, batch_format="pyarrow")
-    partials = add_key_bucket(sym, "c", n_buckets).groupby("__kb") \
-        .map_groups(lambda t: pair_bucket(t.drop_columns(["__kb"])),
-                    batch_format="pyarrow")
+    partials = bucket_exchange(sym, ["c"], pair_bucket, n_buckets)
     pairs, mode = merge_partials_or_ds(partials, ["pkey"], ["cn"],
                                        pair_driver_limit)
     if mode == "driver":
@@ -1436,7 +1419,6 @@ def label_propagation_census(edges, rounds: int = 3,
         # (node, label) pair count is edge-sized, which by construction
         # does not fit the driver on this path — only the one-winner-
         # per-node table (node-bounded, under node_limit) comes back
-        from timberjack_ray.functions.corpus import add_key_bucket
 
         def bucket_argmax(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
@@ -1451,11 +1433,9 @@ def label_propagation_census(edges, rounds: int = 3,
             return pa.table({"node": pa.array(bn[pk][fs]),
                              "lab": pa.array(bl[pk][fs])})
 
-        win_ds = add_key_bucket(
-            edges.map_batches(votes, batch_format="pyarrow"),
-            "node", 256).groupby("__kb").map_groups(
-                lambda t: bucket_argmax(t.drop_columns(["__kb"])),
-                batch_format="pyarrow")
+        win_ds = bucket_exchange(
+            edges.map_batches(votes, batch_format="pyarrow"), ["node"],
+            bucket_argmax, 256)
         wt = pa.concat_tables(
             [b for b in win_ds.iter_batches(batch_size=None,
                                             batch_format="pyarrow")

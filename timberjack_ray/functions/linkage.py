@@ -41,7 +41,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from timberjack_ray.functions.corpus import _utf32_codes, add_key_bucket
+from timberjack_ray.aggregates import bucket_exchange
+from timberjack_ray.functions.corpus import _utf32_codes
 
 
 def _deletion_records(t: pa.Table, col: str, id_col: str) -> pa.Table:
@@ -164,9 +165,7 @@ def ed1_pairs(ds, col: str, id_col: str, n_buckets: int = 256):
     recs = ds.map_batches(
         lambda t: _deletion_records(t, col, id_col),
         batch_format="pyarrow")
-    bucketed = add_key_bucket(recs, "variant", n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        _ed1_pairs_segmented, batch_format="pyarrow")
+    return bucket_exchange(recs, ["variant"], _ed1_pairs_segmented, n_buckets)
 
 
 def ed1_neighbor_census(ds, col: str, id_col: str,

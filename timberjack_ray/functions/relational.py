@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.aggregates import merge_partials
+from timberjack_ray.aggregates import bucket_exchange, merge_partials
 
 _JOIN_CACHE: dict[str, pa.Table] = {}
 
@@ -382,15 +382,12 @@ def grouped_topk(ds, group_col: str, sort_col: str, k: int, tie_col: str,
             [group_col, sort_col, tie_col],
             ascending=[True, not descending, True]).reset_index(drop=True)
     # bucket the groups so the exchange has ~256 coarse partitions and
-    # each map_groups call prunes MANY groups in one vectorized lexsort
-    # (one call per group would be per-key Python at high cardinality)
-    from timberjack_ray.functions.corpus import add_key_bucket
-
-    return add_key_bucket(pruned, group_col, 256).groupby("__kb") \
-        .map_groups(
-            lambda t: _topk_prune(t.drop_columns(["__kb"]), group_col,
-                                  sort_col, tie_col, k, descending),
-            batch_format="pyarrow")
+    # each call prunes MANY groups in one vectorized lexsort (one call per
+    # group would be per-key Python at high cardinality)
+    return bucket_exchange(
+        pruned, [group_col],
+        lambda t: _topk_prune(t, group_col, sort_col, tie_col, k, descending),
+        256)
 
 
 _BLOOM_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -458,18 +455,20 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
     selective joins; false positives only add wasted exchange rows, the
     per-bucket C join removes them exactly.
 
-    Plan: both inputs are tagged and bucketed by ``hash(key) % n_buckets``
-    in a map stage, the union is co-partitioned with ONE groupby exchange
-    on the small bucket id, and each bucket runs pyarrow's C hash join
-    (``Table.join``) on its co-located slices.  The exchange therefore
-    moves each row exactly once (classic GRACE/partitioned hash join), and
-    per-bucket memory is ~|input| / n_buckets — size ``n_buckets`` so a
+    Plan: both inputs are tagged in a map stage and go through
+    ``bucket_exchange`` on the join key: each side's rows get their
+    ``bucket_ids`` bucket (splitmix64 of the key) in that same map, the
+    union is co-partitioned with ONE groupby on the small bucket id, and
+    each bucket runs pyarrow's C hash join (``Table.join``) on its
+    co-located slices.  The exchange therefore moves each row exactly once
+    (classic GRACE/partitioned hash join), and per-bucket memory is
+    ~|input| / n_buckets — size ``n_buckets`` so a
     bucket fits a worker heap (at 100 TB: thousands of buckets; bucket
     count only changes group granularity, not total traffic).
 
-    Keys must be integers and NON-NULL (a null key would silently hash as
-    garbage; prep raises a clear ValueError instead — filter nulls upstream
-    if the domain allows them).  ``left_cols``/``right_cols`` are the
+    Keys must be integers and NON-NULL (null keys never match in SQL;
+    prep raises a clear ValueError instead — filter nulls upstream if the
+    domain allows them).  ``left_cols``/``right_cols`` are the
     non-key payload columns to carry (must not overlap, and must not reuse
     the left key's name).  Returns a Dataset of joined rows with columns
     ``[left_key] + left_cols + right_cols``, so downstream aggregation
@@ -532,16 +531,12 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
                     t = t.filter(pa.array(m))
                     key = pc.cast(t[key_col], pa.int64())
             n = t.num_rows
-            ids = key.to_numpy(zero_copy_only=False).astype(np.uint64)
-            bucket = ((ids * np.uint64(2654435761)) % np.uint64(2**32)
-                      ) % np.uint64(n_buckets)
-            cols: dict = {"__bucket": pa.array(bucket.astype(np.int64)),
-                          "__side": pa.array([side] * n, pa.string()),
+            cols: dict = {"__side": pa.array([side] * n, pa.string()),
                           "__key": key}
             for c, typ in {**own, **other}.items():
                 cols[c] = t[c] if c in t.column_names else pa.nulls(n, typ)
             # deterministic column order across both sides for the union
-            names = ["__bucket", "__side", "__key"] + sorted({**own, **other})
+            names = ["__side", "__key"] + sorted({**own, **other})
             return pa.table({c: cols[c] for c in names})
         return f
 
@@ -562,8 +557,7 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
         out = out.rename_columns(names)
         return bucket_fn(out) if bucket_fn is not None else out
 
-    return lp.union(rp).groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow")
+    return bucket_exchange([lp, rp], ["__key"], join_bucket, n_buckets)
 
 
 def winsorized_group_sums(ds, group_col: str, col: str,
@@ -655,7 +649,7 @@ def rolling_sum_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
     never per-key Python.  Values scale to integers so partial order can't
     drift from the oracle.  Output: (id, roll_sum) for every input row.
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def per_bucket(t: pa.Table) -> pa.Table:
         from timberjack_ray.functions.util import scale_to_int_np
@@ -675,9 +669,7 @@ def rolling_sum_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids[order]),
                          "roll_sum": pa.array(roll)})
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def range_window_sum_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
@@ -702,7 +694,7 @@ def range_window_sum_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
     that.  Values scale to ints (``floor(x·s + .5)`` = SQL ROUND on
     non-negative input) so sums are exact.  Output: (id, win_sum) per
     input row, streaming."""
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     w = int(width_us)
 
@@ -742,9 +734,7 @@ def range_window_sum_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids[order]),
                          "win_sum": pa.array(out)})
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def rolling_sum_per_key(ds, key_col: str, ts_col: str, id_col: str,
@@ -923,7 +913,7 @@ def grouped_rank_ds(ds, group_col: str, val_col: str, id_col: str,
     lexsort + segmented arange; output rows stream (one per input row),
     never the driver.  Returns a Dataset of (id, group, rank, n_group).
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
     from timberjack_ray.functions.util import scale_to_int
 
     proj = ds.select_columns([group_col, val_col, id_col])
@@ -943,9 +933,7 @@ def grouped_rank_ds(ds, group_col: str, val_col: str, id_col: str,
                          "rank": pa.array(rank),
                          "n_group": pa.array(ng)})
 
-    bucketed = add_key_bucket(proj, group_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    return bucket_exchange(proj, [group_col], per_bucket, n_buckets)
 
 
 def grouped_mad(ds, group_col: str, col: str, scale: int = 1) -> pd.DataFrame:
@@ -1258,8 +1246,6 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
     """
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be backward|forward, got {direction!r}")
     sign = np.int64(-1 if direction == "forward" else 1)
@@ -1274,11 +1260,7 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         k = t[left_by]
         if k.null_count:
             raise ValueError(f"asof_join_bucketed: null {left_by} keys")
-        ids = k.to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((ids * np.uint64(KNUTH32)) % np.uint64(_POW32)) \
-            % np.uint64(n_buckets)
-        out = {"__b": pa.array(b.astype(np.int64)),
-               "__side": pa.array(np.ones(t.num_rows, np.int8)),
+        out = {"__side": pa.array(np.ones(t.num_rows, np.int8)),
                "__k": pc.cast(k, pa.int64()),
                "__t": _as_us(t[left_on].combine_chunks())}
         for c in left_cols:
@@ -1304,20 +1286,15 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         k = t[right_by]
         if k.null_count:
             raise ValueError(f"asof_join_bucketed: null {right_by} keys")
-        ids = k.to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = ((ids * np.uint64(KNUTH32)) % np.uint64(_POW32)) \
-            % np.uint64(n_buckets)
-        out = {"__b": pa.array(b.astype(np.int64)),
-               "__side": pa.array(np.zeros(t.num_rows, np.int8)),
+        out = {"__side": pa.array(np.zeros(t.num_rows, np.int8)),
                "__k": pc.cast(k, pa.int64()),
                "__t": _as_us(t[right_on].combine_chunks())}
         for c in left_cols:
             out[c] = pa.nulls(t.num_rows, ltypes[c])
         return pa.table(out)
 
-    tagged = left_ds.map_batches(prep_left,
-                                 batch_format="pyarrow") \
-        .union(right_ds.map_batches(prep_right, batch_format="pyarrow"))
+    tagged = [left_ds.map_batches(prep_left, batch_format="pyarrow"),
+              right_ds.map_batches(prep_right, batch_format="pyarrow")]
 
     def bucket_join(t: pa.Table) -> pa.Table:
         side = t["__side"].to_numpy(zero_copy_only=False)
@@ -1351,8 +1328,7 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         out[matched_col] = pa.array(sign * matched[keep_sorted])
         return pa.table(out)
 
-    return tagged.groupby("__b").map_groups(bucket_join,
-                                            batch_format="pyarrow")
+    return bucket_exchange(tagged, ["__k"], bucket_join, n_buckets)
 
 
 def range_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
@@ -1376,8 +1352,6 @@ def range_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
     must be non-null integers."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     lo_us, hi_us = int(lo_us), int(hi_us)
 
     def prep(by_col: str, on_col: str, id_col: str, side: int):
@@ -1385,21 +1359,17 @@ def range_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
             k = t[by_col]
             if k.null_count:
                 raise ValueError(f"range_join_bucketed: null {by_col} keys")
-            ids = k.to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = ((ids * np.uint64(KNUTH32)) % np.uint64(_POW32)) \
-                % np.uint64(n_buckets)
             return pa.table({
-                "__b": pa.array(b.astype(np.int64)),
                 "__side": pa.array(np.full(t.num_rows, side, np.int8)),
                 "__k": pc.cast(k, pa.int64()),
                 "__t": pc.cast(t[on_col], pa.int64()),
                 "__id": pc.cast(t[id_col], pa.int64())})
         return f
 
-    tagged = left_ds.map_batches(prep(left_by, left_on, left_id, 1),
-                                 batch_format="pyarrow") \
-        .union(right_ds.map_batches(prep(right_by, right_on, right_id, 0),
-                                    batch_format="pyarrow"))
+    tagged = [left_ds.map_batches(prep(left_by, left_on, left_id, 1),
+                                  batch_format="pyarrow"),
+              right_ds.map_batches(prep(right_by, right_on, right_id, 0),
+                                   batch_format="pyarrow")]
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({"a_id": pa.array([], pa.int64()),
@@ -1445,9 +1415,7 @@ def range_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         return pa.table({"a_id": pa.array(np.repeat(lv, n)),
                          "b_id": pa.array(rv[flat])})
 
-    return tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    return bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
 
 
 def cogroup_counts(left_ds, right_ds, left_key: str, right_key: str,
@@ -1465,8 +1433,6 @@ def cogroup_counts(left_ds, right_ds, left_key: str, right_key: str,
     row per distinct key.  Keys must be non-null integers (raises)."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     def prep(key_col: str, side: int):
         def f(t: pa.Table) -> pa.Table:
             k = t[key_col]
@@ -1475,17 +1441,12 @@ def cogroup_counts(left_ds, right_ds, left_key: str, right_key: str,
             g = pa.table({"__k": pc.cast(k, pa.int64())}) \
                 .group_by(["__k"]).aggregate([([], "count_all")]) \
                 .rename_columns(["__k", "n"])
-            ids = g["__k"].to_numpy().astype(np.uint64)
-            b = ((ids * np.uint64(KNUTH32)) % np.uint64(_POW32)) \
-                % np.uint64(n_buckets)
-            return g.append_column("__b", pa.array(b.astype(np.int64))) \
-                .append_column("__side",
-                               pa.array(np.full(len(g), side, np.int8)))
+            return g.append_column(
+                "__side", pa.array(np.full(len(g), side, np.int8)))
         return f
 
-    tagged = left_ds.map_batches(prep(left_key, 0), batch_format="pyarrow") \
-        .union(right_ds.map_batches(prep(right_key, 1),
-                                    batch_format="pyarrow"))
+    tagged = [left_ds.map_batches(prep(left_key, 0), batch_format="pyarrow"),
+              right_ds.map_batches(prep(right_key, 1), batch_format="pyarrow")]
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({"key": pa.array([], pa.int64()),
@@ -1506,9 +1467,7 @@ def cogroup_counts(left_ds, right_ds, left_key: str, right_key: str,
         return pa.table({"key": pa.array(uniq),
                          "n_left": pa.array(a), "n_right": pa.array(b)})
 
-    return tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    return bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
 
 
 def skew_join(left_ds, right_ds, left_key: str, right_key: str,
@@ -1701,6 +1660,10 @@ def zorder_layout_stats(ds, x_col: str, y_col: str, n_ranges: int = 16,
                          "my": pa.array([int(y.min())])})
 
     m = ds.map_batches(mins, batch_format="pyarrow").to_pandas()
+    if not len(m):  # empty input: no ranges
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in
+                             ["range_id", "n", "min_x", "max_x", "min_y",
+                              "max_y"]})
     x0, y0 = int(m["mx"].min()), int(m["my"].min())
 
     def morton_of(t: pa.Table) -> np.ndarray:
@@ -1871,15 +1834,12 @@ def grouped_hhi_ds(ds, key_col: str, cat_col: str, n_buckets: int = 256):
     reductions (inner (key,cat) sums, then per-key Σc and Σc²) emit one
     row per key.  Output streams — one row per key, never a driver fold.
     Returns a Dataset of (key, n_rows, hhi_ppm)."""
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_col, cat_col]).group_by([key_col, cat_col]) \
             .aggregate([([], "count_all")])
         return g.rename_columns([key_col, cat_col, "pc_"])
-
-    bucketed = add_key_bucket(
-        ds.map_batches(partial, batch_format="pyarrow"), key_col, n_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({key_col: pa.array([], t.schema.field(key_col).type),
@@ -1908,9 +1868,8 @@ def grouped_hhi_ds(ds, key_col: str, cat_col: str, n_buckets: int = 256):
                          "n_rows": pa.array(tot.astype(np.int64)),
                          "hhi_ppm": pa.array(hhi.astype(np.int64))})
 
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                           [key_col], per_bucket, n_buckets)
 
 
 def rolling_quantile_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
@@ -1930,7 +1889,7 @@ def rolling_quantile_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
     each row's true frame length L.  O(n·W log W), never per-key Python.
     Values scale to integers so the pick is bit-exact vs the oracle.
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     if not 0 < q <= 1:
         raise ValueError(f"rolling_quantile_per_key_ds: q={q} outside (0, 1]")
@@ -1971,10 +1930,7 @@ def rolling_quantile_per_key_ds(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids[order]),
                          "roll_q": pa.array(out)})
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 _LIMB = 100_000            # limb base for c^2 = a*LIMB + b
@@ -2303,18 +2259,7 @@ def survivorship_merge(ds, key_col: str, ts_col: str, id_col: str,
     (one row per key per bucket)."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
-
     cols = [key_col, ts_col, id_col] + list(value_cols)
-
-    def prep(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("__b", pa.array(bucket_of(k)))
 
     def per_bucket(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -2346,11 +2291,8 @@ def survivorship_merge(ds, key_col: str, ts_col: str, id_col: str,
             out[c] = vals
         return pa.table(out)
 
-    return ds.select_columns(cols) \
-        .map_batches(prep, batch_format="pyarrow") \
-        .groupby("__b").map_groups(
-            lambda t: per_bucket(t.drop_columns(["__b"])),
-            batch_format="pyarrow")
+    return bucket_exchange(ds.select_columns(cols), [key_col], per_bucket,
+                           n_buckets)
 
 
 def ecdf_percentile_census(ref_ds, ref_col: str, target_ds, t_col: str,

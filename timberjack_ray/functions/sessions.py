@@ -1,7 +1,7 @@
 """Sessionization and distribution statistics.
 
 * sessionize — gap-based sessions per key (the classic telemetry op the
-  reference lacks): hash-shuffle by key (``groupby(user).map_groups``), then
+  reference lacks): ``aggregates.bucket_exchange`` on the key, then
   per-key vectorized diff/cumsum to assign session ids.  One all-to-all of
   (key, ts, carried cols); per-group work is numpy, not per-row Python.
 * exact_quantiles — exact quantiles of a column whose DISTINCT cardinality
@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.aggregates import merge_partials
+from timberjack_ray.aggregates import bucket_exchange, merge_partials
 
 
 def _ts_to_int(ts: np.ndarray) -> np.ndarray:
@@ -39,7 +39,7 @@ def sessionize(ds, key_col: str, ts_col: str, gap_s: int,
     pass — stable lexsort (key, ts), gap flags forced False at segment
     starts, segmented cumsum — so per-key Python never happens regardless
     of key cardinality."""
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def per_bucket(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False)
@@ -61,9 +61,7 @@ def sessionize(ds, key_col: str, ts_col: str, gap_s: int,
         return t.take(pa.array(order)).append_column(
             session_col, pa.array(sess.astype(np.int64)))
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def _session_count_partials(ds, key_col: str, ts_col: str, gap_s: int):
@@ -142,10 +140,9 @@ def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
     time.  Only ``len(steps)`` partial-count rows leave each bucket, so the
     merge is steps-sized regardless of key cardinality.
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     proj = ds.select_columns([key_col, ts_col, type_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
     steps = list(steps)
 
     def per_bucket(t: pa.Table) -> pa.Table:
@@ -189,8 +186,7 @@ def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
             "n_users": pa.array(np.asarray(counts, dtype=np.int64)),
         })
 
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    partials = bucket_exchange(proj, [key_col], per_bucket, n_buckets)
     merged = merge_partials(partials, ["step", "step_type"], "n_users")
     out = merged.to_pandas().sort_values("step").reset_index(drop=True)
     return out.astype({"step": "int64", "n_users": "int64"})
@@ -199,7 +195,8 @@ def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
 def exact_quantiles(ds, col: str, qs: list[float], scale: int = 1) -> pd.DataFrame:
     """Exact discrete quantiles (type-1 / lower-value semantics, DuckDB's
     ``quantile_disc``): count per distinct scaled value, tiny merge,
-    cumulative walk.  ``scale`` discretizes floats (e.g. 100 → cents)."""
+    cumulative walk.  ``scale`` discretizes floats (e.g. 100 → cents).
+    An empty input has no quantiles: 0 rows."""
 
     def partial(t: pa.Table) -> pa.Table:
         from timberjack_ray.functions.util import scale_to_int
@@ -214,12 +211,13 @@ def exact_quantiles(ds, col: str, qs: list[float], scale: int = 1) -> pd.DataFra
     cum = counts["n"].cumsum().to_numpy()
     vals = counts["v"].to_numpy()
     out_q, out_v = [], []
-    for q in qs:
+    for q in (qs if total else []):
         rank = max(int(np.ceil(q * total)), 1)
         idx = int(np.searchsorted(cum, rank))
         out_q.append(q)
         out_v.append(int(vals[min(idx, len(vals) - 1)]))
-    return pd.DataFrame({"q": out_q, "value_scaled": out_v})
+    return pd.DataFrame({"q": pd.Series(out_q, dtype="float64"),
+                         "value_scaled": pd.Series(out_v, dtype="int64")})
 
 
 def transition_counts(ds, key_col: str, ts_col: str, type_col: str,
@@ -241,10 +239,8 @@ def transition_counts(ds, key_col: str, ts_col: str, type_col: str,
     ``sum_gap_us`` per transition (the Markov chain with holding times;
     the mean is the consumer's division, so everything stays int).
     """
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     proj = ds.select_columns([key_col, ts_col, type_col, id_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False)
@@ -269,8 +265,7 @@ def transition_counts(ds, key_col: str, ts_col: str, type_col: str,
             .group_by(["cur_type", "next_type"]).aggregate([([], "count_all")])
         return g.rename_columns(["cur_type", "next_type", "n"])
 
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])), batch_format="pyarrow")
+    partials = bucket_exchange(proj, [key_col], per_bucket, n_buckets)
     n_cols = ["n", "sum_gap_us"] if with_latency else "n"
     merged = merge_partials(partials, ["cur_type", "next_type"], n_cols)
     out = merged.to_pandas().sort_values(["cur_type", "next_type"]) \
@@ -403,7 +398,6 @@ def debounce(ds, key_col: str, sub_col: str, ts_col: str, id_col: str,
     MICROSECONDS (fractional-second exactness — the ADVICE r02 rule).
     Returns the surviving rows as a Dataset (input schema preserved).
     """
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     gap_us = int(window_s) * 1_000_000
 
@@ -420,10 +414,7 @@ def debounce(ds, key_col: str, sub_col: str, ts_col: str, id_col: str,
         keep = new_seg | gap_ok
         return t.take(pa.array(np.sort(order[keep])))
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def first_event_per_key(ds, key_col: str, ts_col: str, id_col: str,
@@ -435,7 +426,7 @@ def first_event_per_key(ds, key_col: str, ts_col: str, id_col: str,
     select every key's first row vectorized; output (one row per key)
     streams as a Dataset, never the driver.
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def per_bucket(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False)
@@ -445,10 +436,7 @@ def first_event_per_key(ds, key_col: str, ts_col: str, id_col: str,
         starts, _sizes = _segments(k[order])
         return t.take(pa.array(order[starts]))
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def session_type_pairs(ds, key_col: str, ts_col: str, type_col: str,
@@ -467,7 +455,7 @@ def session_type_pairs(ds, key_col: str, ts_col: str, type_col: str,
     import pandas as pd
 
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({"type_a": pa.array([], pa.string()),
@@ -512,10 +500,7 @@ def session_type_pairs(ds, key_col: str, ts_col: str, type_col: str,
             .group_by(["type_a", "type_b"]).aggregate([([], "count_all")])
         return g.rename_columns(["type_a", "type_b", "n"])
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(ds, [key_col], per_bucket, n_buckets)
     out = merge_partials(partials, ["type_a", "type_b"], "n").to_pandas()
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True) \
         .astype({"n": "int64"})
@@ -534,7 +519,6 @@ def path_trigram_counts(ds, key_col: str, ts_col: str, type_col: str,
     import pandas as pd
 
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({"t1": pa.array([], pa.string()),
@@ -558,10 +542,7 @@ def path_trigram_counts(ds, key_col: str, ts_col: str, type_col: str,
             .group_by(["t1", "t2", "t3"]).aggregate([([], "count_all")])
         return g.rename_columns(["t1", "t2", "t3", "n"])
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(ds, [key_col], per_bucket, n_buckets)
     out = merge_partials(partials, ["t1", "t2", "t3"], "n").to_pandas()
     out = out.sort_values(["n", "t1", "t2", "t3"],
                           ascending=[False, True, True, True]).head(k)
@@ -631,11 +612,10 @@ def grouped_cumsum(ds, key_col: str, ts_col: str, id_col: str,
     (key, ts, id) per bucket, then a vectorized SEGMENTED cumsum
     (prefix sums minus each segment's base).  Output is row-volume and
     streams (a Dataset of (id, cum_scaled))."""
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
     from timberjack_ray.functions.util import scale_to_int
 
     proj = ds.select_columns([key_col, ts_col, id_col, val_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False)
@@ -652,9 +632,7 @@ def grouped_cumsum(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids[order]),
                          "cum_scaled": pa.array(cum.astype(np.int64))})
 
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(proj, [key_col], per_bucket, n_buckets)
 
 
 def grouped_decayed_sum(ds, key_col: str, ts_col: str, id_col: str,
@@ -676,11 +654,10 @@ def grouped_decayed_sum(ds, key_col: str, ts_col: str, id_col: str,
     (key, ts, id) per bucket), then W−1 shifted segment-masked adds —
     trip count = W, independent of key cardinality and row count.  Output
     is row-volume and streams."""
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
     from timberjack_ray.functions.util import scale_to_int
 
     proj = ds.select_columns([key_col, ts_col, id_col, val_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
     w = int(window)
 
     def per_bucket(t: pa.Table) -> pa.Table:
@@ -702,9 +679,7 @@ def grouped_decayed_sum(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({id_col: pa.array(ids[order]),
                          "decayed": pa.array(dec.astype(np.int64))})
 
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(proj, [key_col], per_bucket, n_buckets)
 
 
 def exact_quantile_bisect(ds, col: str, qs: list[float], scale: int = 100,
@@ -820,10 +795,8 @@ def run_length_stats(ds, key_col: str, ts_col: str, type_col: str,
     Scale shape: the sessionize exchange (key-hash buckets, one lexsort
     per bucket, vectorized run-start mask); only |alphabet| partials per
     bucket reach the merge."""
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     proj = ds.select_columns([key_col, ts_col, type_col, id_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({type_col: pa.array([], pa.string()),
@@ -843,9 +816,7 @@ def run_length_stats(ds, key_col: str, ts_col: str, type_col: str,
             .group_by(type_col).aggregate([([], "count_all"), ("s", "sum")])
         return g.rename_columns([type_col, "n_events", "n_runs"])
 
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(proj, [key_col], per_bucket, n_buckets)
     out = merge_partials(partials, [type_col], ["n_events", "n_runs"]) \
         .to_pandas()
     return out.sort_values(type_col).reset_index(drop=True) \
@@ -871,7 +842,7 @@ def longest_streak_histogram(ds, key_col: str, ts_col: str,
     import pyarrow.compute as pc
 
     from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def pre(t: pa.Table) -> pa.Table:
         d = pc.divide(pc.cast(t[ts_col], pa.int64()),
@@ -903,11 +874,8 @@ def longest_streak_histogram(ds, key_col: str, ts_col: str,
         return pa.table({"streak_days": pa.array(vals.astype(np.int64)),
                          "n_keys": pa.array(cnts.astype(np.int64))})
 
-    bucketed = add_key_bucket(ds.map_batches(pre, batch_format="pyarrow"),
-                              "k", n_buckets)
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(ds.map_batches(pre, batch_format="pyarrow"), ["k"],
+                        per_bucket, n_buckets)
     out = merge_partials(p, ["streak_days"], "n_keys").to_pandas()
     return out.sort_values("streak_days").reset_index(drop=True) \
         .astype({"streak_days": "int64", "n_keys": "int64"})
@@ -930,7 +898,7 @@ def interval_union_per_key(ds, key_col: str, start_col: str, end_col: str,
     streams one (key, covered_us) row per key."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({key_col: pa.array([], pa.int64()),
@@ -968,10 +936,7 @@ def interval_union_per_key(ds, key_col: str, start_col: str, end_col: str,
         return pa.table({key_col: pa.array(isl_key[kstarts]),
                          "covered_us": pa.array(covered.astype(np.int64))})
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    return bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    return bucket_exchange(ds, [key_col], per_bucket, n_buckets)
 
 
 def survival_day_histogram(ds, key_col: str, ts_col: str, type_col: str,
@@ -992,7 +957,7 @@ def survival_day_histogram(ds, key_col: str, ts_col: str, type_col: str,
     day-bounded histogram leaves a bucket."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     def maxp(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -1004,7 +969,6 @@ def survival_day_histogram(ds, key_col: str, ts_col: str, type_col: str,
                 .to_pandas()["mx"].max())
 
     proj = ds.select_columns([key_col, ts_col, type_col])
-    bucketed = add_key_bucket(proj, key_col, n_buckets)
     big = np.iinfo(np.int64).max
 
     def per_bucket(t: pa.Table) -> pa.Table:
@@ -1041,9 +1005,7 @@ def survival_day_histogram(ds, key_col: str, ts_col: str, type_col: str,
                          "n_event": pa.array(oe),
                          "n_censored": pa.array(oc)})
 
-    p = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(proj, [key_col], per_bucket, n_buckets)
     out = merge_partials(p, ["day"], ["n_event", "n_censored"]).to_pandas()
     return out.sort_values("day").reset_index(drop=True) \
         .astype({"day": "int64", "n_event": "int64", "n_censored": "int64"})
@@ -1153,7 +1115,7 @@ def session_path_topk(ds, key_col: str, ts_col: str, id_col: str,
     distributed groupby-sum + ``sorted_topk`` and nothing unbounded
     touches the driver."""
     from timberjack_ray.aggregates import merge_partials_or_ds
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
     from timberjack_ray.functions.relational import sorted_topk
 
     gap_us = int(gap_s) * 1_000_000
@@ -1181,12 +1143,9 @@ def session_path_topk(ds, key_col: str, ts_col: str, id_col: str,
             .group_by(["path"]).aggregate([([], "count_all")])
         return g.rename_columns(["path", "n"])
 
-    bucketed = add_key_bucket(
-        ds.select_columns([key_col, ts_col, id_col, type_col]),
-        key_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(
+        ds.select_columns([key_col, ts_col, id_col, type_col]), [key_col],
+        per_bucket, n_buckets)
     merged, mode = merge_partials_or_ds(partials, ["path"], ["n"],
                                         path_driver_limit)
     if mode == "driver":
@@ -1228,8 +1187,6 @@ def session_window_overlap_counts(events_ds, key_col: str, ts_col: str,
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Min
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     sess = sessionize(events_ds.select_columns([key_col, ts_col]),
                       key_col, ts_col, gap_s)
 
@@ -1247,15 +1204,9 @@ def session_window_overlap_counts(events_ds, key_col: str, ts_col: str,
         .groupby([key_col, "session_id"]) \
         .aggregate(Min("s", alias_name="s"), Max("e", alias_name="e"))
 
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
-
     def prep_spans(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "__b": pa.array(bucket_of(k)),
             "__side": pa.array(np.ones(len(k), np.int8)),
             "__k": pa.array(k),
             "__s": pc.cast(t["s"], pa.int64()),
@@ -1270,16 +1221,15 @@ def session_window_overlap_counts(events_ds, key_col: str, ts_col: str,
         a = _ts_to_int(t[r_start].combine_chunks()
                        .to_numpy(zero_copy_only=False))
         return pa.table({
-            "__b": pa.array(bucket_of(k)),
             "__side": pa.array(np.zeros(len(k), np.int8)),
             "__k": pa.array(k),
             "__s": pa.array(a),             # window start
             "__e": pa.array(a + off_us),    # window end
             "__g": t[r_group]})
 
-    tagged = spans.map_batches(prep_spans, batch_format="pyarrow") \
-        .union(right_ds.select_columns([r_key, r_start, r_group])
-               .map_batches(prep_right, batch_format="pyarrow"))
+    tagged = [spans.map_batches(prep_spans, batch_format="pyarrow"),
+              right_ds.select_columns([r_key, r_start, r_group])
+              .map_batches(prep_right, batch_format="pyarrow")]
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({r_group: pa.array([], pa.string()),
@@ -1329,9 +1279,7 @@ def session_window_overlap_counts(events_ds, key_col: str, ts_col: str,
                 [("p", "sum"), ("h", "sum"), ([], "count_all")])
         return g.rename_columns([r_group, "n_pairs", "n_hit", "n_right"])
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
     out = merge_partials(p, [r_group], ["n_pairs", "n_hit", "n_right"]) \
         .to_pandas().sort_values(r_group).reset_index(drop=True)
     return out.astype({"n_pairs": "int64", "n_hit": "int64",
@@ -1361,21 +1309,13 @@ def anchored_prepost_sums(events_ds, key_col: str, ts_col: str,
     """
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     w_us = int(window_us)
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
 
     def prep_events(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = _ts_to_int(t[ts_col].combine_chunks()
                         .to_numpy(zero_copy_only=False))
         return pa.table({
-            "__b": pa.array(bucket_of(k)),
             "__side": pa.array(np.ones(len(k), np.int8)),
             "__k": pa.array(k),
             "__t": pa.array(ts),
@@ -1387,17 +1327,16 @@ def anchored_prepost_sums(events_ds, key_col: str, ts_col: str,
         ts = _ts_to_int(t[a_ts].combine_chunks()
                         .to_numpy(zero_copy_only=False))
         return pa.table({
-            "__b": pa.array(bucket_of(k)),
             "__side": pa.array(np.zeros(len(k), np.int8)),
             "__k": pa.array(k),
             "__t": pa.array(ts),
             "__v": pa.array(np.zeros(len(k), np.int64)),
             "__g": t[a_group]})
 
-    tagged = events_ds.select_columns([key_col, ts_col, val_col]) \
-        .map_batches(prep_events, batch_format="pyarrow") \
-        .union(anchors_ds.select_columns([a_key, a_ts, a_group])
-               .map_batches(prep_anchors, batch_format="pyarrow"))
+    tagged = [events_ds.select_columns([key_col, ts_col, val_col])
+              .map_batches(prep_events, batch_format="pyarrow"),
+              anchors_ds.select_columns([a_key, a_ts, a_group])
+              .map_batches(prep_anchors, batch_format="pyarrow")]
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({a_group: pa.array([], pa.string()),
@@ -1448,9 +1387,7 @@ def anchored_prepost_sums(events_ds, key_col: str, ts_col: str,
                 [([], "count_all"), ("pre", "sum"), ("post", "sum")])
         return g.rename_columns([a_group, "n_anchors", "pre", "post"])
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
     out = merge_partials(p, [a_group], ["n_anchors", "pre", "post"]) \
         .to_pandas().sort_values(a_group).reset_index(drop=True)
     return out.astype({"n_anchors": "int64", "pre": "int64",
@@ -1478,16 +1415,9 @@ def ushape_attribution(ds, key_col: str, ts_col: str, id_col: str,
     bucket."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
-
     def prep(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"__b": pa.array(bucket_of(k)), "__k": pa.array(k),
+        return pa.table({"__k": pa.array(k),
                          "__t": pa.array(_ts_to_int(
                              t[ts_col].combine_chunks()
                              .to_numpy(zero_copy_only=False))),
@@ -1538,9 +1468,7 @@ def ushape_attribution(ds, key_col: str, ts_col: str, id_col: str,
                                              ("c", "sum")])
         return g.rename_columns([type_col, "n_touches", "credit_bp"])
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
     out = merge_partials(p, [type_col], ["n_touches", "credit_bp"]) \
         .to_pandas().sort_values(type_col).reset_index(drop=True)
     return out.astype({"n_touches": "int64", "credit_bp": "int64"})
@@ -1571,19 +1499,12 @@ def sax_motif_census(ds, key_col: str, ts_col: str, id_col: str,
     gap."""
     import pyarrow.compute as pc  # noqa: F401  (kept for parity with peers)
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     if not (2 <= 4 ** word <= 4096):
         raise ValueError("word must be in [1, 6]")
 
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
-
     def prep(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"__b": pa.array(bucket_of(k)), "__k": pa.array(k),
+        return pa.table({"__k": pa.array(k),
                          "__t": pa.array(_ts_to_int(
                              t[ts_col].combine_chunks()
                              .to_numpy(zero_copy_only=False))),
@@ -1623,8 +1544,7 @@ def sax_motif_census(ds, key_col: str, ts_col: str, id_col: str,
         _, fs = frames_of(t)
         return pa.table({"fsum": pa.array(fs.astype(np.int64))})
 
-    frames_ds = tagged.groupby("__b").map_groups(
-        lambda t: pass_a(t.drop_columns(["__b"])), batch_format="pyarrow")
+    frames_ds = bucket_exchange(tagged, ["__k"], pass_a, n_buckets)
     qdf = exact_quantile_bisect(frames_ds, "fsum", [0.25, 0.5, 0.75],
                                 scale=1)
     bps = np.sort(qdf["value_scaled"].to_numpy().astype(np.int64))
@@ -1651,8 +1571,7 @@ def sax_motif_census(ds, key_col: str, ts_col: str, id_col: str,
         return pa.table({"code": pa.array(nz.astype(np.int64)),
                          "n": pa.array(cnt[nz].astype(np.int64))})
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: pass_b(t.drop_columns(["__b"])), batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], pass_b, n_buckets)
     out = merge_partials(p, ["code"], ["n"]).to_pandas()
     letters = np.array(list("abcd"))
 
@@ -1680,16 +1599,9 @@ def decay_attribution(ds, key_col: str, ts_col: str, type_col: str,
     depends only on age."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
-
     def prep(t: pa.Table) -> pa.Table:
         k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"__b": pa.array(bucket_of(k)), "__k": pa.array(k),
+        return pa.table({"__k": pa.array(k),
                          "__t": pa.array(_ts_to_int(
                              t[ts_col].combine_chunks()
                              .to_numpy(zero_copy_only=False))),
@@ -1729,9 +1641,7 @@ def decay_attribution(ds, key_col: str, ts_col: str, type_col: str,
                                              ("c", "sum")])
         return g.rename_columns([type_col, "n_touches", "credit"])
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
     out = merge_partials(p, [type_col], ["n_touches", "credit"]) \
         .to_pandas().sort_values(type_col).reset_index(drop=True)
     return out.astype({"n_touches": "int64", "credit": "int64"})
@@ -1756,14 +1666,7 @@ def absent_followup_census(ds, key_col: str, ts_col: str, type_col: str,
     count in the window is an index difference, no pair ever exists."""
     import pyarrow.compute as pc
 
-    from timberjack_ray.functions.corpus import KNUTH32, _POW32
-
     w_us = int(window_us)
-
-    def bucket_of(keys: np.ndarray) -> np.ndarray:
-        ids = keys.astype(np.uint64)
-        return (((ids * np.uint64(KNUTH32)) % np.uint64(_POW32))
-                % np.uint64(n_buckets)).astype(np.int64)
 
     def prep(t: pa.Table) -> pa.Table:
         m = pc.is_in(t[type_col], value_set=pa.array([a_type, b_type]))
@@ -1775,7 +1678,7 @@ def absent_followup_census(ds, key_col: str, ts_col: str, type_col: str,
             zero_copy_only=False)
         grp = pc.strftime(t[ts_col].combine_chunks().cast(
             pa.timestamp("us")), format=group_fmt)
-        return pa.table({"__b": pa.array(bucket_of(k)), "__k": pa.array(k),
+        return pa.table({"__k": pa.array(k),
                          "__t": pa.array(ts),
                          "__a": pa.array(is_a.astype(np.int8)),
                          "__g": grp})
@@ -1826,9 +1729,7 @@ def absent_followup_census(ds, key_col: str, ts_col: str, type_col: str,
                                           ("ab", "sum")])
         return g.rename_columns(["grp", "n_anchors", "n_abandoned"])
 
-    p = tagged.groupby("__b").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__b"])),
-        batch_format="pyarrow")
+    p = bucket_exchange(tagged, ["__k"], per_bucket, n_buckets)
     out = merge_partials(p, ["grp"], ["n_anchors", "n_abandoned"]) \
         .to_pandas().sort_values("grp").reset_index(drop=True)
     return out.astype({"n_anchors": "int64", "n_abandoned": "int64"})

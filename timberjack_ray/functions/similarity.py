@@ -14,6 +14,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from timberjack_ray.aggregates import bucket_exchange
+
 
 def _to_matrix(col) -> np.ndarray:
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -379,13 +381,15 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
     to keep within-bucket O(s²) verification bounded (s ≈ n / 2^n_planes).
     """
     import ray
+    import ray.data as rd
 
-    def dims_of(ds):
-        row = ds.limit(1).take(1)[0]
-        return len(row[vec_col])
-
+    first = ds.limit(1).take(1)
+    if not first:  # empty input: the typed empty pair table
+        return rd.from_arrow(
+            _cosine_pairs_segmented(pa.table({}), threshold, id_col, vec_col))
     rng = np.random.RandomState(seed)
-    planes = rng.randn(dims_of(ds), n_tables * n_planes).astype(np.float32)
+    planes = rng.randn(len(first[0][vec_col]),
+                       n_tables * n_planes).astype(np.float32)
     planes_ref = ray.put(planes)
     pow2 = (1 << np.arange(n_planes - 1, -1, -1)).astype(np.int64)
 
@@ -421,8 +425,6 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
 
     small = collect_table_under(bucketed, driver_limit)
     if small is not None:
-        import ray.data as rd
-
         out = _cosine_pairs_segmented(small, threshold, id_col, vec_col) \
             .to_pandas().drop_duplicates(["a", "b"])
         return rd.from_pandas(out.reset_index(drop=True))
@@ -430,12 +432,9 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
     # distributed: coarse-bucket the LSH bucket keys so each map_groups
     # call verifies MANY buckets in one segmented vectorized pass (per-raw-
     # bucket grouping would be per-bucket Python at LSH cardinality)
-    from timberjack_ray.functions.corpus import add_key_bucket
-
-    pairs = add_key_bucket(bucketed, "bucket", 256).groupby("__kb").map_groups(
-        lambda t: _cosine_pairs_segmented(t.drop_columns(["__kb"]), threshold,
-                                          id_col, vec_col),
-        batch_format="pyarrow")
+    pairs = bucket_exchange(
+        bucketed, ["bucket"],
+        lambda t: _cosine_pairs_segmented(t, threshold, id_col, vec_col), 256)
     # Distributed dedup of pairs seen in multiple tables: pack (a,b) into one
     # int64 key (ids < 2^31 by contract of this helper); values per pair are
     # identical so a C-side Min aggregate keeps exactly one.

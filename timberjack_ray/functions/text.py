@@ -19,6 +19,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from timberjack_ray.aggregates import bucket_exchange
+
 # BPE-ish pre-tokenizer: word pieces OR single non-space symbols
 BPE_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
 
@@ -680,7 +682,6 @@ def typo_pairs(ds, col: str, n_buckets: int = 64, max_bucket: int = 512):
     degenerate keys cap at ``max_bucket`` owners (deterministic, value
     asc).  Returns a pd.DataFrame of (a, b) pairs, a < b.
     """
-    from timberjack_ray.functions.corpus import add_key_bucket
 
     distinct = ds.map_batches(
         lambda t: pa.table({"v": pc.unique(t[col])}),
@@ -699,7 +700,6 @@ def typo_pairs(ds, col: str, n_buckets: int = 64, max_bucket: int = 512):
                          "v": pa.array(owners, pa.string())})
 
     exploded = distinct.map_batches(explode, batch_format="pyarrow")
-    bucketed = add_key_bucket(exploded, "k", n_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({"a": pa.array([], pa.string()),
@@ -740,9 +740,7 @@ def typo_pairs(ds, col: str, n_buckets: int = 64, max_bucket: int = 512):
                          "b": pa.array(out_b, pa.string())}) \
             .group_by(["a", "b"]).aggregate([])
 
-    pairs = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    pairs = bucket_exchange(exploded, ["k"], per_bucket, n_buckets)
     out = pairs.to_pandas().drop_duplicates() \
         .sort_values(["a", "b"]).reset_index(drop=True)
     return out

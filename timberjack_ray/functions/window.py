@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from timberjack_ray.aggregates import merge_partials
+from timberjack_ray.aggregates import bucket_exchange, merge_partials
 
 
 def _ts_seconds(col) -> np.ndarray:
@@ -290,10 +290,7 @@ def top_key_per_window(ds, ts_col: str, key_col: str, width_s: int,
             # (rank column, k rows per window) as a Dataset via one more
             # bucketed pass (vectorized lexsort rank per bucket, no
             # per-window Python) for the caller to stream/write
-            from timberjack_ray.functions.corpus import add_key_bucket
-
             def rank_bucket(t: pa.Table) -> pa.Table:
-                t = t.drop_columns(["__kb"])
                 ws = t["window_start"].to_numpy(zero_copy_only=False)
                 nn = t["n"].to_numpy(zero_copy_only=False)
                 kk = t[key_col].to_numpy(zero_copy_only=False)
@@ -307,9 +304,7 @@ def top_key_per_window(ds, ts_col: str, key_col: str, width_s: int,
                     .append_column("rank", pa.array(rank))
                 return out.filter(pc.less_equal(out["rank"], k))
 
-            return add_key_bucket(counts, "window_start", 256) \
-                .groupby("__kb") \
-                .map_groups(rank_bucket, batch_format="pyarrow")
+            return bucket_exchange(counts, ["window_start"], rank_bucket, 256)
         counts = counts[keys + ["n"]]
     else:
         counts = folded.to_pandas()
@@ -537,7 +532,7 @@ def rolling_zscore_breach_counts(ds, key_col: str, ts_col: str, id_col: str,
     Int64 headroom: the x^2 running cumsum caps at rows_per_bucket *
     (scale*max_val)^2, fine below ~1e9 rows/bucket at cents magnitude.
     """
-    from timberjack_ray.functions.corpus import _segments, add_key_bucket
+    from timberjack_ray.functions.corpus import _segments
 
     k2 = int(k_sigma) * int(k_sigma)
     W = int(window)
@@ -580,10 +575,7 @@ def rolling_zscore_breach_counts(ds, key_col: str, ts_col: str, id_col: str,
             .group_by([by_col]).aggregate([([], "count_all"), ("b", "sum")])
         return g.rename_columns([by_col, "n_eval", "n_breach"])
 
-    bucketed = add_key_bucket(ds, key_col, n_buckets)
-    partials = bucketed.groupby("__kb").map_groups(
-        lambda t: per_bucket(t.drop_columns(["__kb"])),
-        batch_format="pyarrow")
+    partials = bucket_exchange(ds, [key_col], per_bucket, n_buckets)
     out = merge_partials(partials, [by_col], ["n_eval", "n_breach"]) \
         .to_pandas().sort_values(by_col).reset_index(drop=True)
     return out.astype({"n_eval": "int64", "n_breach": "int64"})
