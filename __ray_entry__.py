@@ -4016,7 +4016,7 @@ def q_chunk_dedup_docs(sf_dir: str):
 def q_perplexity_scores(sf_dir: str):
     """CCNet-style perplexity filter scoring: train an in-corpus add-one
     bigram LM (guarded folds), broadcast it once, score every doc's mean
-    bits-per-bigram in one streaming actor-pool pass.  ORACLE-CHECKED
+    bits-per-bigram in one streaming task pass.  ORACLE-CHECKED
     since round 5 (was rows-only): emits ``bits_centi = floor(bits·100)``
     — every term is log2(c(a)+V) − log2(c(ab)+1) with both counts exact
     ints in BOTH engines, so the only divergence is per-term log2 ULPs

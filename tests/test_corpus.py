@@ -292,15 +292,57 @@ def test_bucket_hash_join_left_outer_null_matches(ray_session):
 
     from timberjack_ray.functions.relational import bucket_hash_join
 
-    left = pd.DataFrame({"k": [1, 2, 3, 4], "a": [10, 20, 30, 40]})
-    right = pd.DataFrame({"k2": [2, 2, 4], "b": [7, 8, 9]})
-    out = bucket_hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                           "k", "k2", left_cols=["a"], right_cols=["b"],
-                           n_buckets=4, join_type="left outer").to_pandas()
+    left = pd.DataFrame({"k": [1, 2, 3, 4], "a": [10, 20, 30, 40],
+                         "s": ["w", "x", "y", "z"]})
+    right = pd.DataFrame({"k2": [2, 2, 4], "b": [7, 8, 9],
+                          "t": ["p", "q", "r"]})
+    ds = bucket_hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                          "k", "k2", left_cols=["a", "s"],
+                          right_cols=["b", "t"], n_buckets=4,
+                          join_type="left outer")
+    # every bucket's output is typed, also where the bucket has no right
+    # rows; object-string payloads of pandas sides come out as string
+    batches = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    for b in batches:
+        assert b.schema.names == ["k", "a", "s", "b", "t"]
+        assert b.schema.types == [pa.int64(), pa.int64(), pa.string(),
+                                  pa.int64(), pa.string()]
+    out = pa.concat_tables(batches).to_pandas()
     # unmatched left rows survive with null b; matched expand per right row
     assert len(out) == 5  # k=1(null), k=2 x2, k=3(null), k=4 x1
     nulls = out[out["b"].isna()]["k"].sort_values().tolist()
     assert nulls == [1, 3]
+    assert out[out["t"].isna()]["k"].sort_values().tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("join_type, n_rows", [("inner", 0),
+                                                ("left outer", 4),
+                                                ("left anti", 4)])
+def test_bucket_hash_join_empty_right(ray_session, join_type, n_rows):
+    """A right side with no rows sends no bucket slices: inner joins
+    return no rows, and left joins keep every left row (right columns
+    null)."""
+    import ray.data as rd
+
+    from timberjack_ray.functions.relational import bucket_hash_join
+
+    left = pd.DataFrame({"k": [1, 2, 3, 4], "a": [10, 20, 30, 40]})
+    right = pd.DataFrame({"k2": [2, 4], "b": [7, 9]})
+    for empty in (rd.from_pandas(right.iloc[:0]),
+                  rd.from_pandas(right).filter(lambda r: False)):
+        batches = list(bucket_hash_join(
+            rd.from_pandas(left), empty, "k", "k2", left_cols=["a"],
+            right_cols=["b"], n_buckets=4, join_type=join_type)
+            .iter_batches(batch_size=None, batch_format="pyarrow"))
+        rows = [b for b in batches if b.num_rows]
+        assert sum(b.num_rows for b in rows) == n_rows
+        if rows:
+            out = pa.concat_tables(rows)
+            assert sorted(out["k"].to_pylist()) == [1, 2, 3, 4]
+            assert out.column_names == ["k", "a"] + (
+                [] if join_type == "left anti" else ["b"])
+            if join_type == "left outer":
+                assert out["b"].null_count == 4
 
 
 def test_interarrival_segmented_matches_pandas_reference(ray_session):

@@ -28,7 +28,10 @@ co-groups) go through the one bucket exchange, ``bucket_exchange``: each
 row gets the bucket ``bucket_ids`` of its key tuple (splitmix64 on integer
 keys with one null hash, ``pd.util.hash_array`` on any other type), and
 one groupby on that bucket co-locates every row of a key, the way the
-reference's merge brings every occurrence of a key together.
+reference's merge brings every occurrence of a key together.  Inputs of
+different schemas (the two sides of a join) co-group through
+``bucket_cogroup``, which carries each bucket's rows as typed Arrow slices
+over that same exchange.
 """
 
 from __future__ import annotations
@@ -509,6 +512,56 @@ def bucket_exchange(inputs, keys: list[str], fn, n_buckets: int = 256):
     ds = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
     return ds.groupby("__kb").map_groups(
         lambda t: fn(t.drop_columns(["__kb"])), batch_format="pyarrow")
+
+
+def bucket_cogroup(sides, fn, n_buckets: int = 256):
+    """Co-group Datasets of different schemas through ``bucket_exchange``:
+    ``fn(*tables)`` runs once per bucket with one typed table per side
+    (None for a side that had no blocks at all).
+
+    ``sides``: ``(Dataset, key_cols)`` pairs whose keys hash alike under
+    ``bucket_ids``.  Each side's map sorts a block by bucket and emits one
+    row ``(__b, __side, __slice)`` per bucket, ``__slice`` holding that
+    bucket's rows (zero rows too, so every bucket sees each side's schema)
+    as an Arrow IPC stream: the sides share one schema without knowing
+    each other's payload types.
+    """
+
+    def carry(side: int, keys: list[str]):
+        def f(t: pa.Table) -> pa.Table:
+            b = bucket_ids(t, keys, n_buckets)
+            order = np.argsort(b, kind="stable")
+            t = t.take(pa.array(order))
+            bounds = np.searchsorted(b[order], np.arange(n_buckets + 1))
+            # one IPC stream per slice, back to back in one buffer
+            sink = pa.BufferOutputStream()
+            offsets = [0]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.slice(lo, hi - lo))
+                offsets.append(sink.tell())
+            slices = pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(), n_buckets,
+                [None, pa.py_buffer(np.array(offsets, np.int64)),
+                 sink.getvalue()])
+            return pa.table({
+                "__b": pa.array(np.arange(n_buckets)),
+                "__side": pa.array(np.full(n_buckets, side, np.int8)),
+                "__slice": slices})
+        return f
+
+    n_sides = len(sides)  # the closure ships to workers: no Datasets in it
+
+    def per_bucket(t: pa.Table):
+        parts: list[list[pa.Table]] = [[] for _ in range(n_sides)]
+        for side, buf in zip(t["__side"].to_numpy(), t["__slice"]):
+            parts[side].append(pa.ipc.open_stream(buf.as_buffer()).read_all())
+        return fn(*[pa.concat_tables(p, promote_options="permissive")
+                    if p else None for p in parts])
+
+    carried = [ds.map_batches(carry(i, list(keys)), batch_format="pyarrow")
+               for i, (ds, keys) in enumerate(sides)]
+    return bucket_exchange(carried, ["__b"], per_bucket, n_buckets)
 
 
 def grouped_aggregate_ds(ds, keys: list[str],

@@ -514,31 +514,28 @@ def top_discriminative_term(ds, id_col: str = "doc_id",
     """
     import ray
 
-    df_tab = doc_frequency(ds, id_col, col)
-    df_ref = ray.put(df_tab)
+    from timberjack_ray.functions.util import fetch_broadcast
 
-    class Winner:
-        def __init__(self):
-            self.df = ray.get(df_ref)
+    df_ref = ray.put(doc_frequency(ds, id_col, col))
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if not len(batch):
-                return pd.DataFrame({id_col: [], "term": []})
-            words = batch[col].str.split(" ")
-            ex = pd.DataFrame({
-                "i": batch[id_col].repeat(words.str.len()).to_numpy(),
-                "word": np.concatenate(words.to_numpy()),
-            })
-            tf = ex.groupby(["i", "word"], as_index=False).size() \
-                .rename(columns={"size": "tf"})
-            m = tf.merge(self.df, on="word", how="left")
-            m = m.sort_values(["i", "tf", "df", "word"],
-                              ascending=[True, False, True, True])
-            win = m.drop_duplicates("i")
-            return pd.DataFrame({id_col: win["i"].to_numpy(),
-                                 "term": win["word"].to_numpy()})
+    def winner(batch: pd.DataFrame) -> pd.DataFrame:
+        if not len(batch):
+            return pd.DataFrame({id_col: [], "term": []})
+        words = batch[col].str.split(" ")
+        ex = pd.DataFrame({
+            "i": batch[id_col].repeat(words.str.len()).to_numpy(),
+            "word": np.concatenate(words.to_numpy()),
+        })
+        tf = ex.groupby(["i", "word"], as_index=False).size() \
+            .rename(columns={"size": "tf"})
+        m = tf.merge(fetch_broadcast(df_ref), on="word", how="left")
+        m = m.sort_values(["i", "tf", "df", "word"],
+                          ascending=[True, False, True, True])
+        win = m.drop_duplicates("i")
+        return pd.DataFrame({id_col: win["i"].to_numpy(),
+                             "term": win["word"].to_numpy()})
 
-    out = ds.map_batches(Winner, batch_format="pandas", concurrency=2)
+    out = ds.map_batches(winner, batch_format="pandas")
     frames = [b for b in out.iter_batches(batch_size=None, batch_format="pandas")
               if len(b)]
     if not frames:
@@ -561,38 +558,37 @@ def rare_bigram_counts(ds, id_col: str = "doc_id", col: str = "text",
     bigram."""
     import ray
 
+    from timberjack_ray.functions.util import fetch_broadcast
+
     counts = merge_partials(
         ds.map_batches(lambda t: bigram_counts_partial(t, col),
                        batch_format="pyarrow"), ["bigram"], "n").to_pandas()
-    rare = set(counts.loc[counts["n"] <= max_count, "bigram"])
-    rare_ref = ray.put(rare)
+    # the rare set ships as an Arrow value_set: is_in is a C hash probe
+    rare_ref = ray.put(pa.array(
+        sorted(set(counts.loc[counts["n"] <= max_count, "bigram"])),
+        pa.string()))
 
-    class Counter:
-        def __init__(self):
-            # Arrow value_set built once per actor: is_in is a C hash probe
-            self.rare = pa.array(sorted(ray.get(rare_ref)), pa.string())
+    def count_rare(t: pa.Table) -> pa.Table:
+        words = pc.split_pattern(t[col], " ")
+        flat, offsets = _word_offsets(words)
+        n = len(flat)
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        if n < 2:
+            return pa.table({id_col: t[id_col],
+                             "n_rare": pa.array(np.zeros(len(ids), np.int64))})
+        joined = pc.binary_join_element_wise(
+            flat.slice(0, n - 1), flat.slice(1, n - 1), " ")
+        valid = np.ones(n - 1, dtype=bool)
+        last = offsets[1:] - 1
+        valid[last[(last >= 0) & (last < n - 1)]] = False
+        hits = pc.is_in(joined, value_set=fetch_broadcast(rare_ref)) \
+            .to_numpy(zero_copy_only=False) & valid
+        # per-doc bigram ranges: [off_d, off_d + len_d - 1)
+        doc_of = np.repeat(np.arange(len(ids)), np.diff(offsets))[:n - 1]
+        n_rare = np.bincount(doc_of[hits], minlength=len(ids)).astype(np.int64)
+        return pa.table({id_col: t[id_col], "n_rare": pa.array(n_rare)})
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            words = pc.split_pattern(t[col], " ")
-            flat, offsets = _word_offsets(words)
-            n = len(flat)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            if n < 2:
-                return pa.table({id_col: t[id_col],
-                                 "n_rare": pa.array(np.zeros(len(ids), np.int64))})
-            joined = pc.binary_join_element_wise(
-                flat.slice(0, n - 1), flat.slice(1, n - 1), " ")
-            valid = np.ones(n - 1, dtype=bool)
-            last = offsets[1:] - 1
-            valid[last[(last >= 0) & (last < n - 1)]] = False
-            hits = pc.is_in(joined, value_set=self.rare) \
-                .to_numpy(zero_copy_only=False) & valid
-            # per-doc bigram ranges: [off_d, off_d + len_d - 1)
-            doc_of = np.repeat(np.arange(len(ids)), np.diff(offsets))[:n - 1]
-            n_rare = np.bincount(doc_of[hits], minlength=len(ids)).astype(np.int64)
-            return pa.table({id_col: t[id_col], "n_rare": pa.array(n_rare)})
-
-    out = ds.map_batches(Counter, batch_format="pyarrow", concurrency=2)
+    out = ds.map_batches(count_rare, batch_format="pyarrow")
     frames = [b.to_pandas() for b in
               out.iter_batches(batch_size=None, batch_format="pyarrow")]
     frames = [f for f in frames if len(f)]

@@ -20,20 +20,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.aggregates import bucket_exchange, merge_partials
-
-_JOIN_CACHE: dict[str, pa.Table] = {}
-
-
-def _fetch_table(ref) -> pa.Table:
-    import ray
-
-    if isinstance(ref, pa.Table):
-        return ref
-    key = ref.hex()
-    if key not in _JOIN_CACHE:
-        _JOIN_CACHE[key] = ray.get(ref)
-    return _JOIN_CACHE[key]
+from timberjack_ray.aggregates import (bucket_cogroup, bucket_exchange,
+                                       merge_partials)
+from timberjack_ray.functions.util import fetch_broadcast
 
 
 def broadcast_join(ds, right: pa.Table, keys, right_keys=None, join_type: str = "inner"):
@@ -53,7 +42,7 @@ def broadcast_join(ds, right: pa.Table, keys, right_keys=None, join_type: str = 
     ref = ray.put(right)
 
     def join_batch(batch: pa.Table) -> pa.Table:
-        r = _fetch_table(ref)
+        r = fetch_broadcast(ref)
         return batch.join(r, keys=keys, right_keys=right_keys, join_type=join_type)
 
     return ds.map_batches(join_batch, batch_format="pyarrow")
@@ -93,7 +82,7 @@ class AsofJoiner:
 
     def __init__(self, right_ref, on: str, by: str, value_cols: list[str],
                  suffix: str = "_r"):
-        right = _fetch_table(right_ref) if not isinstance(right_ref, pa.Table) else right_ref
+        right = fetch_broadcast(right_ref)
         self.on = on
         self.by = by
         self.value_cols = value_cols
@@ -240,7 +229,7 @@ class RangeJoiner:
 
     def __init__(self, right_ref, on: str, by: str, value_cols: list[str],
                  lo: int, hi: int, suffix: str = "_r"):
-        right = _fetch_table(right_ref) if not isinstance(right_ref, pa.Table) else right_ref
+        right = fetch_broadcast(right_ref)
         self.on, self.by, self.value_cols, self.suffix = on, by, value_cols, suffix
         self.lo, self.hi = int(lo), int(hi)
         df = right.select([by, on] + [c for c in value_cols if c not in (by, on)]).to_pandas()
@@ -455,16 +444,16 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
     selective joins; false positives only add wasted exchange rows, the
     per-bucket C join removes them exactly.
 
-    Plan: both inputs are tagged in a map stage and go through
-    ``bucket_exchange`` on the join key: each side's rows get their
-    ``bucket_ids`` bucket (splitmix64 of the key) in that same map, the
-    union is co-partitioned with ONE groupby on the small bucket id, and
-    each bucket runs pyarrow's C hash join (``Table.join``) on its
-    co-located slices.  The exchange therefore moves each row exactly once
-    (classic GRACE/partitioned hash join), and per-bucket memory is
-    ~|input| / n_buckets — size ``n_buckets`` so a
-    bucket fits a worker heap (at 100 TB: thousands of buckets; bucket
-    count only changes group granularity, not total traffic).
+    Plan: one ``bucket_cogroup`` on the int64-cast join key: each side's
+    map carries its own columns per bucket as typed Arrow slices, and each
+    bucket runs pyarrow's C hash join (``Table.join``) on its left and
+    right tables.  No side's schema is probed, so the join is one Ray Data
+    execution, and a bucket without right rows still has typed right
+    columns.  The exchange moves each row exactly once (classic
+    GRACE/partitioned hash join), and per-bucket memory is ~|input| /
+    n_buckets — size ``n_buckets`` so a bucket fits a worker heap (at
+    100 TB: thousands of buckets; bucket count only changes group
+    granularity, not total traffic).
 
     Keys must be integers and NON-NULL (null keys never match in SQL;
     prep raises a clear ValueError instead — filter nulls upstream if the
@@ -488,23 +477,6 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
         raise ValueError(f"payload column collision: {overlap}")
     if left_key in set(left_cols) | set(right_cols):
         raise ValueError(f"left key {left_key!r} collides with a payload column")
-    def _types(ds, cols) -> dict:
-        s = getattr(ds.schema(), "base_schema", ds.schema())
-        if hasattr(s, "field"):  # pyarrow schema
-            return {c: s.field(c).type for c in cols}
-        # PandasBlockSchema: parallel names/types lists of numpy dtypes
-
-        def _arrow_type(t):
-            try:
-                return pa.from_numpy_dtype(np.dtype(t))
-            except (TypeError, pa.ArrowNotImplementedError):
-                return pa.string()  # object dtype: strings in this engine
-
-        by_name = dict(zip(s.names, s.types))
-        return {c: _arrow_type(by_name[c]) for c in cols}
-
-    l_types = _types(left_ds, left_cols)
-    r_types = _types(right_ds, right_cols)
 
     bloom_ref = None
     if bloom_prefilter:
@@ -514,50 +486,44 @@ def bucket_hash_join(left_ds, right_ds, left_key: str, right_key: str,
         import ray
         bloom_ref = ray.put(key_bloom(right_ds, right_key, bloom_m_bits))
 
-    def prep(side: str, key_col: str, own: dict, other: dict):
+    def prep(key_col: str, cols: list[str], bloom=None):
         def f(t: pa.Table) -> pa.Table:
             key = pc.cast(t[key_col], pa.int64())
             if key.null_count:
                 raise ValueError(
                     f"bucket_hash_join: null join keys in {key_col!r} "
                     "(filter nulls upstream; null keys never match in SQL)")
-            if side == "l" and bloom_ref is not None:
-                from timberjack_ray.functions.util import fetch_broadcast
-
-                bm = fetch_broadcast(bloom_ref)
-                m = key_bloom_mask(key.to_numpy(zero_copy_only=False), bm,
-                                   bloom_m_bits)
+            if bloom is not None:
+                m = key_bloom_mask(key.to_numpy(zero_copy_only=False),
+                                   fetch_broadcast(bloom), bloom_m_bits)
                 if not m.all():
                     t = t.filter(pa.array(m))
                     key = pc.cast(t[key_col], pa.int64())
-            n = t.num_rows
-            cols: dict = {"__side": pa.array([side] * n, pa.string()),
-                          "__key": key}
-            for c, typ in {**own, **other}.items():
-                cols[c] = t[c] if c in t.column_names else pa.nulls(n, typ)
-            # deterministic column order across both sides for the union
-            names = ["__side", "__key"] + sorted({**own, **other})
-            return pa.table({c: cols[c] for c in names})
+            return pa.table([key] + [t[c] for c in cols],
+                            names=["__key"] + cols)
         return f
 
-    lp = left_ds.map_batches(prep("l", left_key, l_types, r_types),
-                             batch_format="pyarrow")
-    rp = right_ds.map_batches(prep("r", right_key, r_types, l_types),
-                              batch_format="pyarrow")
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        is_l = pc.equal(t["__side"], "l")
-        lt = t.filter(is_l).select(["__key"] + left_cols)
-        rt = t.filter(pc.invert(is_l)).select(["__key"] + right_cols)
+    def join_bucket(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        # a side with no blocks at all sends no slice: join on its key
+        # alone, and its columns come out as nulls
+        key_only = pa.table({"__key": pa.array([], pa.int64())})
         # co-partitioning makes per-bucket outer joins globally correct: a
         # left row's matches, if any exist, are all in its bucket
-        out = lt.join(rt, keys="__key", join_type=join_type)
-        # surface the key under its left-side name, as the docstring promises
-        names = [left_key if c == "__key" else c for c in out.column_names]
-        out = out.rename_columns(names)
+        out = (key_only if lt is None else lt).join(
+            key_only if rt is None else rt, keys="__key", join_type=join_type)
+        names = ["__key"] + left_cols \
+            + ([] if join_type in ("left semi", "left anti") else right_cols)
+        out = pa.table([out[c] if c in out.column_names
+                        else pa.nulls(out.num_rows) for c in names],
+                       names=[left_key] + names[1:])
         return bucket_fn(out) if bucket_fn is not None else out
 
-    return bucket_exchange([lp, rp], ["__key"], join_bucket, n_buckets)
+    return bucket_cogroup(
+        [(left_ds.map_batches(prep(left_key, left_cols, bloom_ref),
+                              batch_format="pyarrow"), ["__key"]),
+         (right_ds.map_batches(prep(right_key, right_cols),
+                               batch_format="pyarrow"), ["__key"])],
+        join_bucket, n_buckets)
 
 
 def winsorized_group_sums(ds, group_col: str, col: str,
@@ -1219,13 +1185,13 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
     """Backward (default) or forward as-of join for two LARGE sides
     (neither fits a broadcast)
     — the documented scale path of :func:`asof_join`: co-partition both
-    inputs by ``hash(by) % n_buckets`` with ONE groupby exchange on the
-    tagged union (same GRACE shape as :func:`bucket_hash_join`), then
-    resolve each bucket with a fully vectorized sort-merge: one lexsort of
-    the combined rows by (key, time, side) and a segment-reset running
-    max (the ``code·(n+1) + pos`` cummax trick — no per-key Python) finds,
-    for every left row, the latest right row with the same key and
-    ``right_on <= left_on``.
+    inputs on ``by`` with one ``bucket_cogroup`` of typed Arrow slices
+    (same GRACE shape as :func:`bucket_hash_join`, one Ray Data execution,
+    no schema probe), then resolve each bucket with a fully vectorized
+    sort-merge: one lexsort of the combined rows by (key, time, side) and
+    a segment-reset running max (the ``code·(n+1) + pos`` cummax trick —
+    no per-key Python) finds, for every left row, the latest right row
+    with the same key and ``right_on <= left_on``.
 
     Returns a Dataset (inner join) with columns ``[left_by,
     left_on, *left_cols, f"{right_on}_matched"]``; the two time columns
@@ -1256,57 +1222,34 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         return pc.multiply(out, pa.scalar(int(sign), pa.int64())) \
             if sign < 0 else out
 
-    def prep_left(t: pa.Table) -> pa.Table:
-        k = t[left_by]
-        if k.null_count:
-            raise ValueError(f"asof_join_bucketed: null {left_by} keys")
-        out = {"__side": pa.array(np.ones(t.num_rows, np.int8)),
-               "__k": pc.cast(k, pa.int64()),
-               "__t": _as_us(t[left_on].combine_chunks())}
-        for c in left_cols:
-            out[c] = t[c]
-        return pa.table(out)
+    def prep(by: str, on: str, cols: list[str]):
+        def f(t: pa.Table) -> pa.Table:
+            k = t[by]
+            if k.null_count:
+                raise ValueError(f"asof_join_bucketed: null {by} keys")
+            return pa.table([pc.cast(k, pa.int64()),
+                             _as_us(t[on].combine_chunks())]
+                            + [t[c] for c in cols],
+                            names=["__k", "__t"] + cols)
+        return f
 
-    # the union needs ONE schema: probe the left schema for payload types
-    # (pandas-block datasets report numpy/object dtypes — map them to Arrow)
-    lschema = left_ds.schema()
-
-    def _arrow_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(np.dtype(t))
-        except (TypeError, pa.ArrowNotImplementedError):
-            return pa.string()  # object dtype: strings in this engine
-
-    ltypes = dict(zip(lschema.names, lschema.types))
-    ltypes = {c: _arrow_type(ltypes[c]) for c in left_cols}
-
-    def prep_right(t: pa.Table) -> pa.Table:
-        k = t[right_by]
-        if k.null_count:
-            raise ValueError(f"asof_join_bucketed: null {right_by} keys")
-        out = {"__side": pa.array(np.zeros(t.num_rows, np.int8)),
-               "__k": pc.cast(k, pa.int64()),
-               "__t": _as_us(t[right_on].combine_chunks())}
-        for c in left_cols:
-            out[c] = pa.nulls(t.num_rows, ltypes[c])
-        return pa.table(out)
-
-    tagged = [left_ds.map_batches(prep_left, batch_format="pyarrow"),
-              right_ds.map_batches(prep_right, batch_format="pyarrow")]
-
-    def bucket_join(t: pa.Table) -> pa.Table:
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        k = t["__k"].to_numpy(zero_copy_only=False)
-        ts = t["__t"].to_numpy(zero_copy_only=False)
-        n = len(k)
-        if n == 0 or not (side == 1).any():
+    def bucket_join(lt: pa.Table | None, rt: pa.Table | None) -> pa.Table:
+        # a side with no blocks at all sends no slice (None)
+        nr = rt.num_rows if rt is not None else 0
+        nl = lt.num_rows if lt is not None else 0
+        if nl == 0:
             return pa.table({left_by: pa.array([], pa.int64()),
                              left_on: pa.array([], pa.int64()),
-                             **{c: pa.array([], ltypes[c])
+                             **{c: pa.nulls(0) if lt is None else lt[c]
                                 for c in left_cols},
                              matched_col: pa.array([], pa.int64())})
+        # right rows first, then left rows: ``side`` is 0 for right, 1 for
+        # left, and a left row's position in ``lt`` is its index minus nr
+        parts = [rt, lt] if nr else [lt]
+        k = np.concatenate([p["__k"].to_numpy() for p in parts])
+        ts = np.concatenate([p["__t"].to_numpy() for p in parts])
+        side = np.r_[np.zeros(nr, np.int8), np.ones(nl, np.int8)]
+        n = nr + nl
         # right rows sort before left rows on equal (key, time): backward
         # as-of is INCLUSIVE of right_on == left_on
         order = np.lexsort((side, ts, k))
@@ -1320,15 +1263,20 @@ def asof_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
         hit = is_left & (ptr >= 0)
         matched = ts_s[np.where(hit, ptr, 0)]
         keep_sorted = np.flatnonzero(hit)
-        orig = order[keep_sorted]
+        orig = order[keep_sorted] - nr
         out = {left_by: pa.array(ks[keep_sorted]),
                left_on: pa.array(sign * ts_s[keep_sorted])}
         for c in left_cols:
-            out[c] = t[c].take(pa.array(orig))
+            out[c] = lt[c].take(pa.array(orig))
         out[matched_col] = pa.array(sign * matched[keep_sorted])
         return pa.table(out)
 
-    return bucket_exchange(tagged, ["__k"], bucket_join, n_buckets)
+    return bucket_cogroup(
+        [(left_ds.map_batches(prep(left_by, left_on, left_cols),
+                              batch_format="pyarrow"), ["__k"]),
+         (right_ds.map_batches(prep(right_by, right_on, []),
+                               batch_format="pyarrow"), ["__k"])],
+        bucket_join, n_buckets)
 
 
 def range_join_bucketed(left_ds, right_ds, left_by: str, left_on: str,
@@ -1553,8 +1501,6 @@ def skew_join(left_ds, right_ds, left_key: str, right_key: str,
         hot_ref = ray.put(hot_right)
 
         def hot_join(t: pa.Table) -> pa.Table:
-            from timberjack_ray.functions.util import fetch_broadcast
-
             r = fetch_broadcast(hot_ref)
             lt = t.select([left_key] + left_cols)
             out = lt.join(r, keys=left_key, right_keys=right_key,
@@ -2081,7 +2027,7 @@ def skyline_2d(ds, x_col: str, y_col: str, driver_limit: int = 2_000_000,
         ref_c = ray.put((cs, pmx))
 
         def prefilter(t: pa.Table) -> pa.Table:
-            carr, parr = _fetch_table_pair(ref_c)
+            carr, parr = fetch_broadcast(ref_c)
             c = t["x"].to_numpy(zero_copy_only=False) >> coarse_shift
             idx = np.searchsorted(carr, c)
             return t.filter(pa.array(
@@ -2104,7 +2050,7 @@ def skyline_2d(ds, x_col: str, y_col: str, driver_limit: int = 2_000_000,
     ref = ray.put((fx, fy))
 
     def filter_pass(t: pa.Table) -> pa.Table:
-        fxs, fys = _fetch_table_pair(ref)
+        fxs, fys = fetch_broadcast(ref)
         x = t[x_col].to_numpy(zero_copy_only=False)
         y = t[y_col].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(fxs, x)
@@ -2115,15 +2061,6 @@ def skyline_2d(ds, x_col: str, y_col: str, driver_limit: int = 2_000_000,
         return t.filter(pa.array(m))
 
     return ds.map_batches(filter_pass, batch_format="pyarrow")
-
-
-def _fetch_table_pair(ref):
-    import ray
-
-    key = ref.hex()
-    if key not in _JOIN_CACHE:
-        _JOIN_CACHE[key] = ray.get(ref)
-    return _JOIN_CACHE[key]
 
 
 def share_within_group(ds, part_col: str, sub_col: str,
@@ -2330,7 +2267,7 @@ def ecdf_percentile_census(ref_ds, ref_col: str, target_ds, t_col: str,
     ref = ray.put((vals, cums))
 
     def score(t: pa.Table) -> pa.Table:
-        rv, rc = _fetch_table_pair(ref)
+        rv, rc = fetch_broadcast(ref)
         v = t[t_col].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(rv, v, side="right")
         cum = np.where(idx > 0, rc[np.maximum(idx - 1, 0)], 0)

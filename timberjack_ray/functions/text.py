@@ -476,20 +476,19 @@ def train_bigram_lm(ds, col: str = "text", limit: int | None = None):
 
 
 class BigramLMScorer:
-    """Actor-pool stage: per-doc mean bits-per-bigram under a broadcast
+    """Scoring stage: per-doc mean bits-per-bigram under a broadcast
     add-one-smoothed bigram LM — the perplexity-filter scoring pass
     (Wenzek et al., CCNet).  bits(doc) = mean_i −log2 P(w_i | w_{i−1}),
     P(b|a) = (c(a b) + 1) / (c(a) + V).
 
-    Model (two count tables + V) is fetched from the object store ONCE per
-    worker in ``__init__``; lookups are vectorized pandas hash-index
-    reindexes over the flattened word/bigram arrays — no per-row Python.
+    The scorer itself is the broadcast object: each worker process fetches
+    it from the object store once (``functions.util.fetch_broadcast``);
+    lookups are vectorized pandas hash-index reindexes over the flattened
+    word/bigram arrays — no per-row Python.
     """
 
-    def __init__(self, model_ref, id_col: str = "doc_id", col: str = "text"):
-        import ray
-
-        uni_df, big_df, v = ray.get(model_ref)
+    def __init__(self, uni_df, big_df, v: int, id_col: str = "doc_id",
+                 col: str = "text"):
         self.uni = pd.Series(uni_df["n"].to_numpy(np.float64),
                              index=uni_df["word"])
         self.big = pd.Series(big_df["n"].to_numpy(np.float64),
@@ -529,19 +528,19 @@ class BigramLMScorer:
 
 
 def bigram_lm_scores(ds, id_col: str = "doc_id", col: str = "text",
-                     limit: int | None = None, concurrency: int = 2):
+                     limit: int | None = None):
     """Two-pass perplexity scoring: train (guarded folds) → broadcast the
-    model once → one streaming actor-pool scoring pass.  Returns a Dataset
+    scorer once → one streaming task scoring pass.  Returns a Dataset
     of (id, n_bigrams, bits); filter on ``bits`` downstream (high bits =
     improbable text under the corpus LM)."""
     import ray
 
+    from timberjack_ray.functions.util import fetch_broadcast
+
     uni_df, big_df, v, _mode = train_bigram_lm(ds, col, limit)
-    ref = ray.put((uni_df, big_df, v))
-    return ds.map_batches(
-        BigramLMScorer,
-        fn_constructor_kwargs={"model_ref": ref, "id_col": id_col, "col": col},
-        batch_format="pyarrow", concurrency=concurrency)
+    ref = ray.put(BigramLMScorer(uni_df, big_df, v, id_col, col))
+    return ds.map_batches(lambda t: fetch_broadcast(ref)(t),
+                          batch_format="pyarrow")
 
 
 def _flat_codepoints(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
