@@ -261,6 +261,7 @@ def q_enrich_customers(sf_dir: str):
     import ray
 
     from timberjack_ray.aggregates import counts_by
+    from timberjack_ray.functions.util import fetch_broadcast
 
     nation = _rp(sf_dir, "nation").to_pandas()
     region = _rp(sf_dir, "region").to_pandas()
@@ -268,16 +269,13 @@ def q_enrich_customers(sf_dir: str):
     r2name = dict(zip(region["r_regionkey"], region["r_name"]))
     lookup_ref = ray.put({k: r2name[v] for k, v in n2r.items()})
 
-    class Enrich:
-        def __init__(self):
-            self.lut = ray.get(lookup_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keys = t["c_nationkey"].to_pylist()
-            return pa.table({"r_name": pa.array([self.lut[k] for k in keys])})
+    def enrich(t: pa.Table) -> pa.Table:
+        lut = fetch_broadcast(lookup_ref)
+        keys = t["c_nationkey"].to_pylist()
+        return pa.table({"r_name": pa.array([lut[k] for k in keys])})
 
     ds = _rp(sf_dir, "customer", columns=["c_nationkey"])
-    return counts_by(ds.map_batches(Enrich, batch_format="pyarrow", concurrency=2), "r_name")
+    return counts_by(ds.map_batches(enrich, batch_format="pyarrow"), "r_name")
 
 
 def q_route_counts_docs(sf_dir: str):
@@ -986,7 +984,7 @@ def q_quality_scores(sf_dir: str):
     from timberjack_ray.functions.text import QualityScorer
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = ds.map_batches(QualityScorer, batch_format="pyarrow", concurrency=2).to_pandas()
+    scored = ds.map_batches(QualityScorer(), batch_format="pyarrow").to_pandas()
     return scored[["doc_id", "quality"]].astype({"doc_id": "int64"})
 
 
@@ -995,7 +993,7 @@ def q_langid(sf_dir: str):
     from timberjack_ray.functions.text import LangId
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
-    pred = ds.map_batches(LangId, batch_format="pyarrow", concurrency=2)
+    pred = ds.map_batches(LangId(), batch_format="pyarrow")
     return counts_by(pred, "lang_pred")
 
 
@@ -1709,7 +1707,7 @@ def q_rare_bigram_counts(sf_dir: str):
 
 
 def q_audio_features(sf_dir: str):
-    """Audio leg of the multimodal plumbing: actor-pool featurize stage
+    """Audio leg of the multimodal plumbing: per-batch featurize stage
     (duration/RMS/ZCR + banded energy vector) over opaque binary payloads;
     decode stubbed (no codec in sandbox), batching/schema real."""
     import ray.data as rd
@@ -1790,7 +1788,7 @@ def q_curation_pipeline(sf_dir: str):
     from timberjack_ray.functions.text import QualityScorer
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "source"])
-    scored = ds.map_batches(QualityScorer, batch_format="pyarrow", concurrency=2)
+    scored = ds.map_batches(QualityScorer(), batch_format="pyarrow")
 
     def project(t: pa.Table) -> pa.Table:
         t = add_content_hash(t)
@@ -2015,7 +2013,7 @@ def q_quality_histogram(sf_dir: str):
     from timberjack_ray.functions.text import QualityScorer
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
-    scored = ds.map_batches(QualityScorer, batch_format="pyarrow", concurrency=2)
+    scored = ds.map_batches(QualityScorer(), batch_format="pyarrow")
 
     def bucketize(t: pa.Table) -> pa.Table:
         b = pc.cast(pc.floor(pc.multiply(t["quality"], 10.0)), pa.int64())
@@ -2031,7 +2029,7 @@ def q_best_doc_per_lang(sf_dir: str):
     from timberjack_ray.functions.text import QualityScorer
 
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    scored = ds.map_batches(QualityScorer, batch_format="pyarrow", concurrency=2)
+    scored = ds.map_batches(QualityScorer(), batch_format="pyarrow")
     out = grouped_topk(scored, "lang", "quality", k=1, tie_col="doc_id",
                        descending=True)
     return out[["lang", "doc_id"]].astype({"lang": "str", "doc_id": "int64"})
@@ -5954,8 +5952,8 @@ def q_stream_chunk_novelty(sf_dir: str):
     incremental-crawl storage planner exact doc-hash dedup cannot give
     (edited re-crawls share most chunks).  The probes run INSIDE
     map_batches tasks holding the shard actor handles (ChunkNoveltyStage
-    — VERDICT r3 #2): text never crosses the driver, only per-source
-    partials fold.  Rows-only: gear-hash chunking is not SQL-replayable;
+    — VERDICT r3 #2, a pickled stage instance, no actor pool): text never
+    crosses the driver, only per-source partials fold.  Rows-only: gear-hash chunking is not SQL-replayable;
     planted exact/edited re-crawl truth is pinned in tests/test_state.py."""
     from timberjack_ray.aggregates import merge_partials
     from timberjack_ray.state.cdc_index import (ChunkNoveltyStage,
@@ -5965,13 +5963,8 @@ def q_stream_chunk_novelty(sf_dir: str):
         .sort("doc_id")
     with StreamingChunkDeduper(n_shards=8) as d:
         parts = ds.map_batches(
-            ChunkNoveltyStage,
-            fn_constructor_kwargs=dict(shards=d.shards,
-                                       cdc_params=d.cdc_params),
-            # autoscaling pool (min 1): the 8 shard actors hold 2.0 CPUs,
-            # so a FIXED pool of 4 can never schedule at num_cpus=4 and
-            # Ray Data waits forever (found as a pytest-session deadlock)
-            batch_format="pyarrow", batch_size=256, concurrency=(1, 4))
+            ChunkNoveltyStage(d.shards, d.cdc_params),
+            batch_format="pyarrow", batch_size=256)
         out = merge_partials(parts, ["source"],
                              ["n_chunks", "new_chars", "dup_chars"]) \
             .to_pandas()

@@ -1,11 +1,12 @@
-"""One-CPU liveness of the broadcast-scoring stages.
+"""One-CPU liveness of the per-batch stages.
 
-``text.bigram_lm_scores``, ``corpus.top_discriminative_term`` and
-``corpus.rare_bigram_counts`` run as task maps that fetch their model once
-per worker.  As fixed two-actor pools they held the only CPU of a one-CPU
-session, their upstream read never ran, and the queries built on them
-hung.  The suite's own session has 4 CPUs, so the check runs a one-CPU
-session in a subprocess and compares each query with its DuckDB oracle.
+Every per-batch stage runs as tasks: a function, or a pickled stage
+instance that fetches any broadcast state once per worker.  A fixed
+actor pool (or shard actors that reserve CPU) held the only CPU of a
+one-CPU session, its upstream read never ran, and the queries built on it
+hung.  The suite's own session has 4 CPUs, so each query group runs in
+its own one-CPU session in a subprocess: oracle-checked queries are
+compared with DuckDB, the rest must return a non-empty result.
 """
 
 import os
@@ -17,13 +18,18 @@ from tests.test_entry_queries import SF_DIR
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUERIES = ["curation_pipeline_v2", "rare_bigram_counts", "doc_top_term"]
+TASK_STAGE_QUERIES = ["langid", "enrich_customers", "quality_scores",
+                      "best_doc_per_lang", "stream_dedup_docs"]
+LIVENESS_QUERIES = ["ann_ivf", "embedding_near_dup", "stream_chunk_novelty"]
 TIMEOUT_S = 60
 
 CHILD = textwrap.dedent("""
+    import glob
+    import os
     import signal
     import sys
 
-    root, sf_dir, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+    root, sf_dir, checked, live = sys.argv[1:5]
     sys.path.insert(0, root)
     import duckdb
     import ray
@@ -38,6 +44,11 @@ CHILD = textwrap.dedent("""
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+    def run(name):
+        out = em.queries()[name](sf_dir)
+        return out if hasattr(out, "columns") else out.to_pandas()
+
+
     signal.signal(signal.SIGALRM, stalled)
     signal.alarm({alarm})
     ray.init(address="local", num_cpus=1, include_dashboard=False,
@@ -46,10 +57,12 @@ CHILD = textwrap.dedent("""
         import __ray_entry__ as em
 
         con = duckdb.connect()
-        con.execute("CREATE VIEW documents AS SELECT * FROM "
-                    f"read_parquet('{{sf_dir}}/documents.parquet')")
-        for name in names:
-            got = normalize(em.queries()[name](sf_dir))
+        for path in sorted(glob.glob(os.path.join(sf_dir, "*.parquet"))):
+            table = os.path.basename(path)[:-len(".parquet")]
+            con.execute(f"CREATE VIEW {{table}} AS SELECT * FROM "
+                        f"read_parquet('{{path}}')")
+        for name in filter(None, checked.split(",")):
+            got = normalize(run(name))
             want = normalize(con.execute(em.oracle_sql()[name]).df())
             assert list(got.columns) == list(want.columns), name
             assert len(got) == len(want) > 0, (name, len(got), len(want))
@@ -57,19 +70,31 @@ CHILD = textwrap.dedent("""
                 assert got[c].astype(str).tolist() \\
                     == want[c].astype(str).tolist(), (name, c)
             print("ok", name, flush=True)
+        for name in filter(None, live.split(",")):
+            assert len(run(name)) > 0, name
+            print("ok", name, flush=True)
     finally:
         ray.shutdown()
 """)
 
 
-def test_broadcast_scoring_stages_finish_on_one_cpu():
+def run_one_cpu(checked: list[str], live: list[str]) -> None:
     # the child's own alarm fires first so it can shut its session down;
     # the subprocess timeout is the backstop
     child = CHILD.format(alarm=TIMEOUT_S - 8)
     proc = subprocess.run(
-        [sys.executable, "-c", child, ROOT, SF_DIR, *QUERIES],
+        [sys.executable, "-c", child, ROOT, SF_DIR, ",".join(checked),
+         ",".join(live)],
         capture_output=True, text=True, timeout=TIMEOUT_S, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr[-3000:]
     done = [line.split()[1] for line in proc.stdout.splitlines()
             if line.startswith("ok ")]
-    assert done == QUERIES, proc.stdout
+    assert done == checked + live, proc.stdout
+
+
+def test_broadcast_scoring_stages_finish_on_one_cpu():
+    run_one_cpu(QUERIES, [])
+
+
+def test_task_stages_finish_on_one_cpu():
+    run_one_cpu(TASK_STAGE_QUERIES, LIVENESS_QUERIES)

@@ -96,3 +96,25 @@ def test_one_bucket_exchange():
                     and node.name == "add_key_bucket"]
     assert not offenders, offenders
     assert not defined, defined
+
+
+def test_map_batches_runs_tasks_only():
+    """Every per-batch stage runs as tasks (a function or a pickled stage
+    instance): no ``map_batches`` call starts an actor pool, so no query
+    asks for more CPUs than a one-CPU session has."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "timberjack_ray").rglob("*.py")) \
+        + [root / "__ray_entry__.py"]
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "map_batches":
+                offenders += [f"{path.relative_to(root)}:{node.lineno} {kw.arg}"
+                              for kw in node.keywords
+                              if kw.arg in ("concurrency",
+                                            "fn_constructor_kwargs")]
+    assert not offenders, offenders

@@ -860,3 +860,35 @@ def test_grace_joins_are_one_execution(ray_session, monkeypatch):
     assert len(calls) == 1
     assert got[["u", "t", "x", "t_matched"]].values.tolist() == [
         [1, 20, "b", 15], [2, 30, "c", 5]]
+
+
+def test_bucket_cogroup_one_call_per_bucket(ray_session):
+    """``bucket_cogroup`` hands each bucket to its function exactly once:
+    on two sides that cover every bucket, the function runs ``n_buckets``
+    times, each call sees one bucket id and every row arrives once."""
+    import ray.data as rd
+
+    from timberjack_ray.aggregates import bucket_cogroup, bucket_ids
+
+    n_buckets = 32
+    left = pa.table({"k": pa.array(np.arange(400, dtype=np.int64)),
+                     "x": pa.array([f"s{i}" for i in range(400)])})
+    right = pa.table({"k2": pa.array(np.arange(0, 400, 3, dtype=np.int64)),
+                      "y": pa.array(np.arange(0, 400, 3) * 0.5)})
+    for t, key in ((left, "k"), (right, "k2")):
+        assert len(np.unique(bucket_ids(t, [key], n_buckets))) == n_buckets
+
+    def per_bucket(lt, rt):
+        ids = np.concatenate([bucket_ids(lt, ["k"], n_buckets),
+                              bucket_ids(rt, ["k2"], n_buckets)])
+        return pa.table({"n_ids": [len(np.unique(ids))],
+                         "n_left": [lt.num_rows], "n_right": [rt.num_rows]})
+
+    out = bucket_cogroup(
+        [(rd.from_arrow(left).repartition(3), ["k"]),
+         (rd.from_arrow(right).repartition(2), ["k2"])],
+        per_bucket, n_buckets).to_pandas()
+    assert len(out) == n_buckets
+    assert out["n_ids"].tolist() == [1] * n_buckets
+    assert (int(out["n_left"].sum()), int(out["n_right"].sum())) \
+        == (left.num_rows, right.num_rows)

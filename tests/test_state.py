@@ -446,10 +446,8 @@ def test_chunk_novelty_stage_distributed_invariants(ray_session):
 
     with StreamingChunkDeduper(n_shards=4) as d:
         parts = rd.from_arrow(t).repartition(6).map_batches(
-            ChunkNoveltyStage,
-            fn_constructor_kwargs=dict(shards=d.shards,
-                                       cdc_params=d.cdc_params),
-            batch_format="pyarrow", batch_size=32, concurrency=2)
+            ChunkNoveltyStage(d.shards, d.cdc_params),
+            batch_format="pyarrow", batch_size=32)
         got = merge_partials(parts, ["source"],
                              ["n_chunks", "new_chars", "dup_chars"]) \
             .to_pandas()

@@ -507,8 +507,14 @@ def bucket_exchange(inputs, keys: list[str], fn, n_buckets: int = 256):
         b = bucket_ids(t, keys, n_buckets)
         return t.append_column("__kb", pa.array(b))
 
-    sides = [ds.map_batches(add_bucket, batch_format="pyarrow")
-             for ds in (inputs if isinstance(inputs, list) else [inputs])]
+    return _group_buckets(
+        [ds.map_batches(add_bucket, batch_format="pyarrow")
+         for ds in (inputs if isinstance(inputs, list) else [inputs])], fn)
+
+
+def _group_buckets(sides: list, fn):
+    """The exchange step itself: union the sides, which carry a bucket id
+    in ``__kb``, and call ``fn`` once per bucket without that column."""
     ds = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
     return ds.groupby("__kb").map_groups(
         lambda t: fn(t.drop_columns(["__kb"])), batch_format="pyarrow")
@@ -521,10 +527,12 @@ def bucket_cogroup(sides, fn, n_buckets: int = 256):
 
     ``sides``: ``(Dataset, key_cols)`` pairs whose keys hash alike under
     ``bucket_ids``.  Each side's map sorts a block by bucket and emits one
-    row ``(__b, __side, __slice)`` per bucket, ``__slice`` holding that
+    row ``(__kb, __side, __slice)`` per bucket, ``__slice`` holding that
     bucket's rows (zero rows too, so every bucket sees each side's schema)
     as an Arrow IPC stream: the sides share one schema without knowing
-    each other's payload types.
+    each other's payload types.  ``__kb`` is already the bucket id, so the
+    rows go straight to the exchange's group step and each of the
+    ``n_buckets`` groups holds exactly one bucket.
     """
 
     def carry(side: int, keys: list[str]):
@@ -545,7 +553,7 @@ def bucket_cogroup(sides, fn, n_buckets: int = 256):
                 [None, pa.py_buffer(np.array(offsets, np.int64)),
                  sink.getvalue()])
             return pa.table({
-                "__b": pa.array(np.arange(n_buckets)),
+                "__kb": pa.array(np.arange(n_buckets)),
                 "__side": pa.array(np.full(n_buckets, side, np.int8)),
                 "__slice": slices})
         return f
@@ -561,7 +569,7 @@ def bucket_cogroup(sides, fn, n_buckets: int = 256):
 
     carried = [ds.map_batches(carry(i, list(keys)), batch_format="pyarrow")
                for i, (ds, keys) in enumerate(sides)]
-    return bucket_exchange(carried, ["__b"], per_bucket, n_buckets)
+    return _group_buckets(carried, per_bucket)
 
 
 def grouped_aggregate_ds(ds, keys: list[str],

@@ -142,7 +142,7 @@ def gram_hashes_batch(texts, k: int = 3, window_at_k: bool = False):
 
 
 class MinHasher:
-    """Actor-pool stage: per-doc MinHash signature (num_perm × uint64)."""
+    """Per-batch stage: per-doc MinHash signature (num_perm × uint64)."""
 
     def __init__(self, col: str = "text", num_perm: int = 64, shingle_k: int = 3, seed: int = 7):
         self.col = col
@@ -328,8 +328,7 @@ def candidate_pairs(band_ds, num_perm: int = 64, threshold: float = 0.7,
 
 
 def minhash_dedup(ds, col: str = "text", num_perm: int = 64, bands: int = 16,
-                  threshold: float = 0.7, concurrency=None,
-                  driver_limit: int = 2_000_000):
+                  threshold: float = 0.7, driver_limit: int = 2_000_000):
     """Full MinHash-LSH near-dup pipeline → pandas DataFrame of
     (doc_id, dup_group) for docs in some near-dup cluster, plus the
     verified pair set.  ``dup_group`` is the component's min doc id.
@@ -343,22 +342,12 @@ def minhash_dedup(ds, col: str = "text", num_perm: int = 64, bands: int = 16,
     downstream if pair identity matters).  Non-integer doc ids keep a
     driver-only union-find (lexicographic min representative).
 
-    Default runs the hasher as stateless tasks (the permutation params are
-    bytes, shipped inside the pickled instance — fuses with the read and
-    scales to every core with no pool start-up); pass ``concurrency`` for an
-    actor pool when per-actor state becomes genuinely heavy.
+    The hasher runs as stateless tasks: the permutation params are bytes,
+    shipped inside the pickled instance, so it fuses with the read and
+    scales to every core with no pool start-up.
     """
-    if concurrency is not None:
-        sig = ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs={"col": col, "num_perm": num_perm},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    else:
-        sig = ds.map_batches(MinHasher(col=col, num_perm=num_perm),
-                             batch_format="pyarrow")
+    sig = ds.map_batches(MinHasher(col=col, num_perm=num_perm),
+                         batch_format="pyarrow")
     # compact: 8·num_perm bytes/doc — cheap to hold, saves recomputing the
     # hash stage for candidate_pairs' two passes over the exploded bands
     sig = sig.materialize()
@@ -435,15 +424,9 @@ class SimHasher:
         return pa.table({"doc_id": batch["doc_id"], "simhash": pa.array(sh.view(np.int64))})
 
 
-def simhash_candidates(ds, col: str = "text", concurrency=None):
+def simhash_candidates(ds, col: str = "text"):
     """SimHash → 4×16-bit band buckets → candidate pairs with Hamming ≤ 3."""
-    if concurrency is not None:
-        sh = ds.map_batches(
-            SimHasher, fn_constructor_kwargs={"col": col},
-            batch_format="pyarrow", concurrency=concurrency, num_cpus=1,
-        )
-    else:
-        sh = ds.map_batches(SimHasher(col=col), batch_format="pyarrow")
+    sh = ds.map_batches(SimHasher(col=col), batch_format="pyarrow")
 
     def explode(batch: pa.Table) -> pa.Table:
         h = np.asarray(batch["simhash"]).view(np.uint64)

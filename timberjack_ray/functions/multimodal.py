@@ -2,8 +2,9 @@
 
 Binary payloads are opaque ``binary`` columns with typed metadata columns
 (``media_type``, ``width/height`` or ``sample_rate`` etc.).  Decode /
-feature-extract / resize / frame-sample run as actor-pool ``map_batches``
-stages — the decoder library loads once per actor in ``__init__``.
+feature-extract / resize / frame-sample run as task ``map_batches`` stages
+(a pickled stage instance); the ``real`` codec library loads lazily, once
+per worker process, on first use.
 
 Backends (round 3 — VERDICT r02 #5 upgraded ``real`` from a stub):
 
@@ -24,7 +25,9 @@ Backends (round 3 — VERDICT r02 #5 upgraded ``real`` from a stub):
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import io
 import struct
 import zlib
@@ -47,6 +50,16 @@ MEDIA_SCHEMA = pa.schema(
 
 def _payload_seed(payload: bytes) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:4], "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(module: str):
+    """The optional codec module (``PIL.Image``, ``soundfile``), imported
+    once per process on first use; None when not installed."""
+    try:
+        return importlib.import_module(module)
+    except ImportError:
+        return None
 
 
 # --- stdlib codecs (the import-guard fallbacks for backend="real") ---------
@@ -189,7 +202,7 @@ def make_fake_media_table(n: int, media_type: str = "image/png") -> pa.Table:
 
 
 class ImageDecoder:
-    """Actor-pool stage: payload → decoded pixel tensor → cheap features.
+    """Per-batch stage: payload → decoded pixel tensor → cheap features.
 
     Real decoding needs an image codec which this container does not ship;
     the ``fake`` backend synthesizes a deterministic (h, w, 3) uint8 tensor
@@ -201,16 +214,6 @@ class ImageDecoder:
         assert backend in ("fake", "real")
         self.backend = backend
         self.resize_to = resize_to
-        self._pil = None
-        if backend == "real":
-            # codec loads ONCE per actor; Pillow when installed, else the
-            # stdlib PNG decoder (decode_png) covers the common web case
-            try:
-                from PIL import Image  # noqa: import guard
-
-                self._pil = Image
-            except ImportError:
-                self._pil = None
 
     def _resize(self, img: np.ndarray) -> np.ndarray:
         h, w = img.shape[:2]
@@ -223,9 +226,9 @@ class ImageDecoder:
 
     def _decode_one(self, payload: bytes, w: int, h: int) -> np.ndarray:
         if self.backend == "real":
-            if self._pil is not None:
-                img = np.asarray(
-                    self._pil.open(io.BytesIO(payload)).convert("RGB"))
+            pil = _codec("PIL.Image")
+            if pil is not None:
+                img = np.asarray(pil.open(io.BytesIO(payload)).convert("RGB"))
             else:
                 img = decode_png(payload)
                 if img.shape[2] == 1:       # grey → RGB
@@ -263,13 +266,14 @@ class ImageDecoder:
 
 
 class AudioFeaturizer:
-    """Actor-pool stage: payload → decoded waveform → cheap features
+    """Per-batch stage: payload → decoded waveform → cheap features
     (duration, RMS energy, zero-crossing rate) + a fixed-size banded
     energy vector (the mel-filterbank stand-in).
 
     Same stub contract as ImageDecoder: ``fake`` synthesizes a
-    deterministic waveform from the payload hash so schema/batching/actor
-    plumbing is exercised; ``real`` raises until an audio codec ships.
+    deterministic waveform from the payload hash so schema/batching
+    plumbing is exercised; ``real`` decodes PCM WAV (``soundfile`` when
+    installed, else the stdlib ``wave`` module).
     """
 
     N_BANDS = 8
@@ -277,22 +281,14 @@ class AudioFeaturizer:
     def __init__(self, backend: str = "fake"):
         assert backend in ("fake", "real")
         self.backend = backend
-        self._sf = None
-        if backend == "real":
-            try:
-                import soundfile  # noqa: import guard
-
-                self._sf = soundfile
-            except ImportError:
-                self._sf = None  # stdlib wave module covers PCM WAV
 
     def _decode_one(self, payload: bytes, sr: int) -> tuple[np.ndarray, int]:
         """→ (float32 mono waveform, EFFECTIVE sample rate — the decoded
         file's own rate under ``real``, the metadata column under ``fake``)."""
         if self.backend == "real":
-            if self._sf is not None:
-                x, real_sr = self._sf.read(io.BytesIO(payload),
-                                           dtype="float32")
+            sf = _codec("soundfile")
+            if sf is not None:
+                x, real_sr = sf.read(io.BytesIO(payload), dtype="float32")
                 if x.ndim > 1:
                     x = x.mean(axis=1)
                 return np.asarray(x, np.float32), int(real_sr)
@@ -646,7 +642,7 @@ def _container_frames(buf: bytes) -> list[bytes]:
 
 
 class FrameSampler:
-    """Actor-pool stage: sample ≤ ``max_frames`` frames per video row
+    """Per-batch stage: sample ≤ ``max_frames`` frames per video row
     (uniform, deterministic), one output row per sampled frame.
 
     ``backend="fake"`` (default) works from the ``n_frames`` metadata
@@ -690,41 +686,24 @@ class FrameSampler:
         return pa.table({"media_id": pa.array(ids), "frame_idx": pa.array(frames, pa.int32())})
 
 
-def decode_images(ds, concurrency=(1, 4), batch_size: int = 256,
-                  resize_to=(16, 16), backend: str = "fake"):
-    """Large binary payloads ⇒ small batches so batch × concurrency fits the
-    worker heap (ray_guide: memory-aware batch sizing)."""
-    return ds.map_batches(
-        ImageDecoder,
-        fn_constructor_kwargs={"backend": backend, "resize_to": resize_to},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def decode_images(ds, batch_size: int = 256, resize_to=(16, 16),
+                  backend: str = "fake"):
+    """Large binary payloads ⇒ small batches, so one batch of decoded
+    pixels fits a task's heap (memory-aware batch sizing)."""
+    return ds.map_batches(ImageDecoder(backend=backend, resize_to=resize_to),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-def audio_features(ds, concurrency=(1, 4), batch_size: int = 256,
-                   backend: str = "fake"):
-    return ds.map_batches(
-        AudioFeaturizer,
-        fn_constructor_kwargs={"backend": backend},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def audio_features(ds, batch_size: int = 256, backend: str = "fake"):
+    return ds.map_batches(AudioFeaturizer(backend=backend),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-def sample_frames(ds, max_frames: int = 4, concurrency=(1, 4),
-                  backend: str = "fake", batch_size: int = 256):
+def sample_frames(ds, max_frames: int = 4, backend: str = "fake",
+                  batch_size: int = 256):
     """backend="real" extracts MJPEG-AVI frame bytes (small batches — the
     payloads are whole containers); "fake" is metadata-only plumbing."""
     return ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"max_frames": max_frames, "backend": backend},
+        FrameSampler(max_frames=max_frames, backend=backend),
         batch_format="pyarrow",
-        batch_size=batch_size if backend == "fake" else min(batch_size, 64),
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+        batch_size=batch_size if backend == "fake" else min(batch_size, 64))

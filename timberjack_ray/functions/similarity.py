@@ -1,8 +1,8 @@
 """Similarity search over an embedding column (``list<float>``).
 
-* brute-force cosine top-k — baseline: numpy matmul per batch against a
-  BROADCAST query matrix (``ray.put`` once, fetched once per actor), partial
-  top-k per batch, tiny global merge.  One pass, no shuffle.
+* brute-force cosine top-k — baseline: numpy matmul per batch against the
+  query matrix (shipped inside the pickled stage), partial top-k per batch,
+  tiny global merge.  One pass, no shuffle.
 * IVF top-k — scale path: coarse centroids from a driver-side sample,
   per-batch cell assignment, query probes only the nearest cells.
 * embedding near-dup — random-hyperplane LSH buckets → within-bucket cosine.
@@ -64,14 +64,12 @@ def _topk_rows_tiesafe(scores: np.ndarray, ids: np.ndarray, k: int):
 
 
 class BruteForceTopK:
-    """Actor-pool stage: per-batch cosine vs the broadcast query matrix,
-    emits the batch-local top-k (id, query_idx, score) rows."""
+    """Per-batch stage: cosine vs the query matrix, emits the batch-local
+    top-k (id, query_idx, score) rows."""
 
-    def __init__(self, query_ref, k: int, id_col: str = "vec_id", vec_col: str = "embedding"):
-        import ray
-
-        q = ray.get(query_ref) if not isinstance(query_ref, np.ndarray) else query_ref
-        self.q = _normalize(np.asarray(q, dtype=np.float32))
+    def __init__(self, queries: np.ndarray, k: int, id_col: str = "vec_id",
+                 vec_col: str = "embedding"):
+        self.q = _normalize(np.asarray(queries, dtype=np.float32))
         self.k = k
         self.id_col = id_col
         self.vec_col = vec_col
@@ -92,32 +90,18 @@ class BruteForceTopK:
 
 
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
-                     id_col: str = "vec_id", vec_col: str = "embedding",
-                     concurrency=None) -> pd.DataFrame:
+                     id_col: str = "vec_id",
+                     vec_col: str = "embedding") -> pd.DataFrame:
     """Global cosine top-k per query → pandas (query_idx, vec_id, score, rank).
 
-    Deterministic tie-break: score desc, then id asc.  Default runs as
-    stateless tasks (the normalized query matrix ships once inside the
-    pickled stage — no pool start-up); pass ``concurrency`` for an actor
-    pool when the query matrix is large enough that per-actor object-store
-    fetch matters.
+    Deterministic tie-break: score desc, then id asc.  Runs as stateless
+    tasks: the normalized query matrix ships once inside the pickled stage,
+    with no pool start-up.
     """
-    import ray
-
-    qref = ray.put(np.asarray(queries, dtype=np.float32))
-    if concurrency is not None:
-        partial = ds.map_batches(
-            BruteForceTopK,
-            fn_constructor_kwargs={"query_ref": qref, "k": k, "id_col": id_col, "vec_col": vec_col},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        ).to_pandas()
-    else:
-        partial = ds.map_batches(
-            BruteForceTopK(query_ref=qref, k=k, id_col=id_col, vec_col=vec_col),
-            batch_format="pyarrow",
-        ).to_pandas()
+    partial = ds.map_batches(
+        BruteForceTopK(queries, k=k, id_col=id_col, vec_col=vec_col),
+        batch_format="pyarrow",
+    ).to_pandas()
     return _rank_merge(partial, id_col, "score", k)
 
 
@@ -269,6 +253,8 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16, n_prob
     whole distribution, not the sample."""
     import ray
 
+    from timberjack_ray.functions.util import fetch_broadcast
+
     cent = sample_centroids(ds, n_centroids, vec_col=vec_col)
     if refine_iters:
         cent = kmeans_refine(ds, cent, iters=refine_iters, vec_col=vec_col)
@@ -279,41 +265,33 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16, n_prob
     probe_mat = np.zeros((cent.shape[0], q.shape[0]), dtype=bool)
     probe_mat[probes.ravel(),
               np.repeat(np.arange(q.shape[0]), probes.shape[1])] = True
-    cent_ref = ray.put(cent)
-    q_ref = ray.put(q)
-    probes_ref = ray.put(probe_mat)
+    state_ref = ray.put((cent, q, probe_mat))
 
-    class IVFStage:
-        def __init__(self):
-            self.cent = ray.get(cent_ref)
-            self.q = ray.get(q_ref)
-            self.probe_mat = ray.get(probes_ref)   # (n_centroids, nq)
-            self.k = k
+    def ivf_stage(batch: pa.Table) -> pa.Table:
+        cent, q, probe_mat = fetch_broadcast(state_ref)
+        empty = pa.table({id_col: pa.array([], pa.int64()),
+                          "query_idx": pa.array([], pa.int32()),
+                          "score": pa.array([], pa.float64())})
+        m = _normalize(_to_matrix(batch[vec_col]))
+        if m.shape[0] == 0:
+            return empty
+        cells = np.argmax(m @ cent.T, axis=1)
+        probed = probe_mat[cells]               # (n, nq) bool
+        any_q = probed.any(axis=1)              # rows ANY query probes
+        if not any_q.any():
+            return empty
+        sub = m[any_q]
+        scores = sub @ q.T                      # (n_sub, nq)
+        scores[~probed[any_q]] = -np.inf        # mask un-probed cells
+        ids = np.asarray(batch[id_col]).astype(np.int64)[any_q]
+        rows, qidx = _topk_rows_tiesafe(scores, ids, k)
+        out_s = scores[rows, qidx].astype(np.float64)
+        keep = np.isfinite(out_s)               # short candidate lists
+        return pa.table({id_col: pa.array(ids[rows[keep]]),
+                         "query_idx": pa.array(qidx[keep]),
+                         "score": pa.array(out_s[keep])})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            empty = pa.table({id_col: pa.array([], pa.int64()),
-                              "query_idx": pa.array([], pa.int32()),
-                              "score": pa.array([], pa.float64())})
-            m = _normalize(_to_matrix(batch[vec_col]))
-            if m.shape[0] == 0:
-                return empty
-            cells = np.argmax(m @ self.cent.T, axis=1)
-            probed = self.probe_mat[cells]          # (n, nq) bool
-            any_q = probed.any(axis=1)              # rows ANY query probes
-            if not any_q.any():
-                return empty
-            sub = m[any_q]
-            scores = sub @ self.q.T                 # (n_sub, nq)
-            scores[~probed[any_q]] = -np.inf        # mask un-probed cells
-            ids = np.asarray(batch[id_col]).astype(np.int64)[any_q]
-            rows, qidx = _topk_rows_tiesafe(scores, ids, self.k)
-            out_s = scores[rows, qidx].astype(np.float64)
-            keep = np.isfinite(out_s)               # short candidate lists
-            return pa.table({id_col: pa.array(ids[rows[keep]]),
-                             "query_idx": pa.array(qidx[keep]),
-                             "score": pa.array(out_s[keep])})
-
-    partial = ds.map_batches(IVFStage, batch_format="pyarrow", concurrency=(1, 8), num_cpus=1).to_pandas()
+    partial = ds.map_batches(ivf_stage, batch_format="pyarrow").to_pandas()
     return _rank_merge(partial, id_col, "score", k)
 
 
@@ -383,6 +361,8 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
     import ray
     import ray.data as rd
 
+    from timberjack_ray.functions.util import collect_table_under, fetch_broadcast
+
     first = ds.limit(1).take(1)
     if not first:  # empty input: the typed empty pair table
         return rd.from_arrow(
@@ -393,36 +373,29 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
     planes_ref = ray.put(planes)
     pow2 = (1 << np.arange(n_planes - 1, -1, -1)).astype(np.int64)
 
-    class Bucketer:
+    def bucketer(batch: pa.Table) -> pa.Table:
         """Emits n_tables rows per vector: bucket = (table << 32) | packed bits."""
+        m = _normalize(_to_matrix(batch[vec_col]))
+        n = len(m)
+        if n == 0:
+            return pa.table({"bucket": pa.array([], pa.int64()),
+                             id_col: pa.array([], pa.int64()),
+                             vec_col: batch[vec_col]})
+        bits = (m @ fetch_broadcast(planes_ref)) > 0    # (n, T*p)
+        bits = bits.reshape(n, n_tables, n_planes)
+        packed = bits @ pow2                    # (n, T) int64
+        key = (np.arange(n_tables, dtype=np.int64) << 32)[None, :] | packed
+        idx = pa.array(np.repeat(np.arange(n), n_tables))
+        return pa.table({"bucket": pa.array(key.reshape(-1)),
+                         id_col: batch[id_col].take(idx),
+                         vec_col: batch[vec_col].take(idx)})
 
-        def __init__(self):
-            self.planes = ray.get(planes_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_to_matrix(batch[vec_col]))
-            n = len(m)
-            if n == 0:
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 id_col: pa.array([], pa.int64()),
-                                 vec_col: batch[vec_col]})
-            bits = (m @ self.planes) > 0           # (n, T*p)
-            bits = bits.reshape(n, n_tables, n_planes)
-            packed = bits @ pow2                    # (n, T) int64
-            key = (np.arange(n_tables, dtype=np.int64) << 32)[None, :] | packed
-            idx = pa.array(np.repeat(np.arange(n), n_tables))
-            return pa.table({"bucket": pa.array(key.reshape(-1)),
-                             id_col: batch[id_col].take(idx),
-                             vec_col: batch[vec_col].take(idx)})
-
-    bucketed = ds.map_batches(Bucketer, batch_format="pyarrow", concurrency=(1, 8), num_cpus=1)
+    bucketed = ds.map_batches(bucketer, batch_format="pyarrow")
 
     # small-intermediate fast path: one streamed pass + a segmented fold
     # beats two Ray all-to-all groupbys (multi-second fixed cost each)
     # whenever the bucketed rows (n_tables x vectors) fit on the driver;
     # bail out to the distributed plan past driver_limit rows
-    from timberjack_ray.functions.util import collect_table_under
-
     small = collect_table_under(bucketed, driver_limit)
     if small is not None:
         out = _cosine_pairs_segmented(small, threshold, id_col, vec_col) \
@@ -492,17 +465,14 @@ def quantize_embeddings(ds, vec_col: str = "embedding",
 
 
 class QuantizedTopK:
-    """Actor-pool stage: integer dot products of the int8 batch against the
-    broadcast int8 query matrix (int64 accumulation — exact), batch-local
-    top-k out.  Same shape as BruteForceTopK; scores are deterministic
-    integers, so the global merge is bit-reproducible."""
+    """Per-batch stage: integer dot products of the int8 batch against the
+    int8 query matrix (int64 accumulation — exact), batch-local top-k out.
+    Same shape as BruteForceTopK; scores are deterministic integers, so the
+    global merge is bit-reproducible."""
 
-    def __init__(self, query_ref, k: int, id_col: str = "vec_id",
+    def __init__(self, queries: np.ndarray, k: int, id_col: str = "vec_id",
                  vec_col: str = "qvec"):
-        import ray
-
-        q = ray.get(query_ref) if not isinstance(query_ref, np.ndarray) else query_ref
-        self.q = np.asarray(q, dtype=np.int64)
+        self.q = np.asarray(queries, dtype=np.int64)
         self.k = k
         self.id_col = id_col
         self.vec_col = vec_col
@@ -536,7 +506,7 @@ def brute_force_topk_q8(ds, queries: np.ndarray, k: int = 10,
                                  scale), -127, 127)
     qds = quantize_embeddings(ds, vec_col=vec_col, id_col=id_col, scale=scale)
     partial = qds.map_batches(
-        QuantizedTopK(query_ref=qq, k=k, id_col=id_col),
+        QuantizedTopK(qq, k=k, id_col=id_col),
         batch_format="pyarrow").to_pandas()
     return _rank_merge(partial, id_col, "score_q", k)
 

@@ -6,8 +6,8 @@ n-gram heuristic), quality scoring (length/punct/stopword ratios), and
 document fingerprinting (stable 64-bit content hash + rolling n-gram hash).
 
 No models, no network — deterministic heuristics only (sandbox constraint);
-the stage shapes (actor-pool ``map_batches``, schema in/out) are the real
-thing and hold at scale.
+the stage shapes (task ``map_batches``, schema in/out) are the real thing
+and hold at scale.
 """
 
 from __future__ import annotations
@@ -834,13 +834,13 @@ def bpe_train(ds, col: str = "text", n_merges: int = 50,
 
 
 class BpeEncoder:
-    """Actor-pool stage applying a learned BPE merge table: per batch ONE
+    """Per-batch stage applying a learned BPE merge table: per batch ONE
     flat char stream over all words, then each merge as one vectorized
     ``_apply_bpe_merge`` pass (rank order — exactly the greedy rule the
     trainer used), then per-doc token counts by reduceat.  The merge table
-    rides the closure (tiny: n_merges rows); state (the parsed merge list)
-    builds once per actor in ``__init__``.  Emits (id, n_words, n_bpe) —
-    the fertility statistic (bpe tokens per word) per doc."""
+    rides the pickled instance (tiny: n_merges rows); the parsed merge
+    list builds once on the driver in ``__init__``.  Emits (id, n_words,
+    n_bpe) — the fertility statistic (bpe tokens per word) per doc."""
 
     def __init__(self, merges: list[tuple[str, str]], col: str = "text",
                  id_col: str = "doc_id", keep_cols: list[str] | None = None):
@@ -1093,7 +1093,7 @@ def compress_ratio_by_group(ds, group_col: str = "source",
 
     zlib at a fixed level is deterministic for a given input, so the
     integer sums are engine-stable; the per-payload C call is the same
-    actor-pool-CPU shape as the multimodal codecs (not a vectorizable
+    per-payload CPU shape as the multimodal codecs (not a vectorizable
     kernel — the payload IS the work unit).  Partial volume = one row
     per group per batch.  Returns (group, n_docs, raw_b, comp_b);
     ratio = the consumer's division."""

@@ -36,8 +36,9 @@ def line_column(batch: pa.Table) -> pa.ChunkedArray | pa.Array:
 class ParseStage:
     """Stateless-per-batch, stateful-per-worker parse+filter transform.
 
-    Use with ``ds.map_batches(ParseStage, fn_constructor_kwargs=dict(cfg=cfg,
-    fmt=fmt), batch_format="pyarrow", ...)``.  ``fmt`` must already be
+    Use with ``ds.map_batches(ParseStage(cfg=cfg, fmt=fmt),
+    batch_format="pyarrow", ...)``: the instance is pickled into each task.
+    ``fmt`` must already be
     resolved ('generic' or 'json') — format auto-detection samples the
     dataset head driver-side (see pipelines/analyze.py), mirroring the
     reference's file-head sampling (src/main.rs:52-89).

@@ -65,7 +65,9 @@ class _ShardState:
 def _make_shard_actor():
     import ray
 
-    @ray.remote(num_cpus=0.25)
+    # a shard only answers probes: it reserves no CPU, so n_shards actors
+    # never crowd out the tasks that feed them on a small session
+    @ray.remote(num_cpus=0)
     class DedupShard:
         def __init__(self) -> None:
             self._s = _ShardState()

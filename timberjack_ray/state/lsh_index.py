@@ -100,7 +100,7 @@ class _LshShardState:
 def _make_shard_actor():
     import ray
 
-    @ray.remote(num_cpus=0.25)
+    @ray.remote(num_cpus=0)
     class LshShard:
         def __init__(self, max_bucket: int):
             self._s = _LshShardState(max_bucket)

@@ -54,7 +54,7 @@ class _QuotaShardState:
 def _make_shard_actor():
     import ray
 
-    @ray.remote(num_cpus=0.25)
+    @ray.remote(num_cpus=0)
     class QuotaShard:
         def __init__(self, budget: int):
             self._s = _QuotaShardState(budget)

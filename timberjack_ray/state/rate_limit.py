@@ -53,7 +53,7 @@ class _RateShardState:
 def _make_shard_actor():
     import ray
 
-    @ray.remote(num_cpus=0.25)
+    @ray.remote(num_cpus=0)
     class RateShard:
         def __init__(self, k: int, window_us: int):
             self._s = _RateShardState(k, window_us)

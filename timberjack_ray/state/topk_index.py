@@ -66,7 +66,7 @@ class _ShardState:
 def _make_shard_actor():
     import ray
 
-    @ray.remote(num_cpus=0.25)
+    @ray.remote(num_cpus=0)
     class TopKShard:
         def __init__(self, k: int) -> None:
             self._s = _ShardState(k)
