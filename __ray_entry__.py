@@ -1055,6 +1055,7 @@ def q_revenue_by_priority(sf_dir: str):
     (orders ⋈ lineitem on orderkey — neither side broadcast), then a
     streamed partial-sum aggregate.  Each row crosses the exchange once;
     per-bucket joins are pyarrow C hash joins."""
+    from timberjack_ray.aggregates import merge_partials
     from timberjack_ray.functions.relational import bucket_hash_join
 
     orders = _rp(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
@@ -1076,10 +1077,9 @@ def q_revenue_by_priority(sf_dir: str):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["o_orderpriority", "sum_cents", "n"])
 
-    p = joined.map_batches(partial, batch_format="pyarrow").to_pandas()
-    out = p.groupby("o_orderpriority", as_index=False).agg(
-        sum_cents=("sum_cents", "sum"), n=("n", "sum"))
-    return out.astype({"sum_cents": "int64", "n": "int64"})
+    p = joined.map_batches(partial, batch_format="pyarrow")
+    out = merge_partials(p, ["o_orderpriority"], ["sum_cents", "n"])
+    return out.to_pandas().astype({"sum_cents": "int64", "n": "int64"})
 
 
 def q_value_quantiles_by_type(sf_dir: str):

@@ -7,6 +7,11 @@ one-CPU session, its upstream read never ran, and the queries built on it
 hung.  The suite's own session has 4 CPUs, so each query group runs in
 its own one-CPU session in a subprocess: oracle-checked queries are
 compared with DuckDB, the rest must return a non-empty result.
+
+A read over fewer files than the block floor is split, and a task whose
+output buffer fills pauses while holding its CPU; at one CPU that stalls
+every executor step for a 100 ms ``ray.wait`` timeout, so the context
+must buffer a whole split read.
 """
 
 import os
@@ -76,6 +81,38 @@ CHILD = textwrap.dedent("""
     finally:
         ray.shutdown()
 """)
+
+
+def test_split_read_fits_task_output_buffer(ray_session, tmp_path,
+                                            monkeypatch):
+    """At one CPU, 4 Parquet files are split to reach the block floor; the
+    task-output buffer holds more blocks than that split and than the
+    floor, so no split read task pauses on its last block."""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from timberjack_ray.rayctx import tune_for_cluster
+
+    ctx = DataContext.get_current()
+    for attr in ("read_op_min_num_blocks", "min_parallelism",
+                 "default_hash_shuffle_parallelism",
+                 "_max_num_blocks_in_streaming_gen_buffer"):
+        monkeypatch.setattr(ctx, attr, getattr(ctx, attr))
+    tune_for_cluster(1)
+    for i in range(4):
+        pq.write_table(pa.table({"x": list(range(100 * i, 100 * i + 100))}),
+                       tmp_path / f"part-{i}.parquet")
+    ds = rd.read_parquet(str(tmp_path)).materialize()
+    splits = [int(k) for k in re.findall(r"SplitBlocks\((\d+)\)",
+                                         ds.stats())]
+    assert splits and max(splits) > 1, ds.stats()
+    buffer = ctx._max_num_blocks_in_streaming_gen_buffer
+    assert buffer > max(splits), (buffer, splits)
+    assert buffer > ctx.read_op_min_num_blocks, buffer
 
 
 def run_one_cpu(checked: list[str], live: list[str]) -> None:

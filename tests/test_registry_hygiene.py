@@ -74,21 +74,22 @@ def test_runtime_dicts_match_literals():
 
 def test_one_bucket_exchange():
     """Every hash-bucket exchange goes through ``aggregates.bucket_exchange``
-    (one key hash, ``bucket_ids``): no other module groups on a bucket
-    column, and no per-module bucketing helper is defined again."""
+    (one key hash, ``bucket_ids``): no other module groups or sorts on a
+    bucket column, and no per-module bucketing helper is defined again."""
     import re
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "timberjack_ray").rglob("*.py")) \
         + [root / "__ray_entry__.py"]
-    bucket_groupby = re.compile(r'groupby\(\s*"__(?:kb|b|bucket)"\s*\)')
+    bucket_shuffle = re.compile(
+        r'(?:groupby|sort)\(\s*(?:key\s*=\s*)?\[?\s*"__(?:kb|b|bucket)"')
     offenders, defined = [], []
     for path in sources:
         text = path.read_text()
         rel = path.relative_to(root)
         if path.name != "aggregates.py":
-            for m in bucket_groupby.finditer(text):
+            for m in bucket_shuffle.finditer(text):
                 line = text.count("\n", 0, m.start()) + 1
                 offenders.append(f"{rel}:{line}")
         defined += [f"{rel}:{node.lineno}" for node in ast.walk(ast.parse(text))

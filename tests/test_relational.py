@@ -862,33 +862,74 @@ def test_grace_joins_are_one_execution(ray_session, monkeypatch):
         [1, 20, "b", 15], [2, 30, "c", 5]]
 
 
-def test_bucket_cogroup_one_call_per_bucket(ray_session):
-    """``bucket_cogroup`` hands each bucket to its function exactly once:
-    on two sides that cover every bucket, the function runs ``n_buckets``
-    times, each call sees one bucket id and every row arrives once."""
+def test_exchange_calls_get_whole_buckets(ray_session):
+    """``bucket_exchange`` and ``bucket_cogroup`` hand their function whole
+    buckets, once per shuffled block: every bucket id reaches exactly one
+    call, every row arrives exactly once, and on 5 input blocks over 32
+    buckets the calls are fewer than the buckets.  Each ``bucket_cogroup``
+    call gets one typed table per side, empty ones included."""
+    import uuid
+
     import ray.data as rd
 
-    from timberjack_ray.aggregates import bucket_cogroup, bucket_ids
+    from timberjack_ray.aggregates import (bucket_cogroup, bucket_exchange,
+                                           bucket_ids)
 
     n_buckets = 32
     left = pa.table({"k": pa.array(np.arange(400, dtype=np.int64)),
                      "x": pa.array([f"s{i}" for i in range(400)])})
-    right = pa.table({"k2": pa.array(np.arange(0, 400, 3, dtype=np.int64)),
-                      "y": pa.array(np.arange(0, 400, 3) * 0.5)})
-    for t, key in ((left, "k"), (right, "k2")):
-        assert len(np.unique(bucket_ids(t, [key], n_buckets))) == n_buckets
+    # every right key shares one bucket, so most calls see no right row
+    lb = bucket_ids(left, ["k"], n_buckets)
+    assert len(np.unique(lb)) == n_buckets
+    rk = left["k"].to_numpy()[lb == lb[0]]
+    right = pa.table({"k2": pa.array(rk),
+                      "y": pa.array(rk * 0.5)})
 
-    def per_bucket(lt, rt):
-        ids = np.concatenate([bucket_ids(lt, ["k"], n_buckets),
-                              bucket_ids(rt, ["k2"], n_buckets)])
-        return pa.table({"n_ids": [len(np.unique(ids))],
-                         "n_left": [lt.num_rows], "n_right": [rt.num_rows]})
+    def calls_of(out: pd.DataFrame) -> pd.DataFrame:
+        # one row per (call, bucket): a bucket split across calls shows
+        # up as a bucket with two call ids
+        per = out.groupby(["call", "bucket"], as_index=False).size()
+        assert per["bucket"].is_unique, per
+        assert sorted(per["bucket"]) == list(range(n_buckets))
+        assert 1 < per["call"].nunique() < n_buckets, per
+        return per
+
+    def tag(t: pa.Table, key: str, side: int, call: str) -> pa.Table:
+        return pa.table({
+            "call": pa.array([call] * t.num_rows, pa.string()),
+            "side": pa.array(np.full(t.num_rows, side, np.int8)),
+            "bucket": pa.array(bucket_ids(t, [key], n_buckets)),
+            "k": t[key]})
+
+    def per_call(t: pa.Table) -> pa.Table:
+        return tag(t, "k", 0, uuid.uuid4().hex)
+
+    out = bucket_exchange(rd.from_arrow(left).repartition(5), ["k"],
+                          per_call, n_buckets).to_pandas()
+    calls_of(out)
+    assert sorted(out["k"]) == list(range(400))
+
+    def per_cogroup(lt, rt):
+        assert lt.schema.equals(left.schema), lt.schema
+        assert rt.schema.equals(right.schema), rt.schema
+        call = uuid.uuid4().hex
+        marks = pa.table({  # one row per call, even with no rows at all
+            "call": [call], "side": pa.array([-1], pa.int8()),
+            "bucket": pa.array([-1], pa.int64()),
+            "k": pa.array([rt.num_rows], pa.int64())})
+        return pa.concat_tables([tag(lt, "k", 0, call),
+                                 tag(rt, "k2", 1, call), marks])
 
     out = bucket_cogroup(
         [(rd.from_arrow(left).repartition(3), ["k"]),
          (rd.from_arrow(right).repartition(2), ["k2"])],
-        per_bucket, n_buckets).to_pandas()
-    assert len(out) == n_buckets
-    assert out["n_ids"].tolist() == [1] * n_buckets
-    assert (int(out["n_left"].sum()), int(out["n_right"].sum())) \
-        == (left.num_rows, right.num_rows)
+        per_cogroup, n_buckets).to_pandas()
+    marks = out[out["side"] == -1]
+    rows = out[out["side"] != -1]
+    calls_of(rows[rows["side"] == 0])
+    assert sorted(rows[rows["side"] == 0]["k"]) == list(range(400))
+    assert sorted(rows[rows["side"] == 1]["k"]) == sorted(rk.tolist())
+    # the right side's one bucket went to one call; the others got a
+    # typed empty right table
+    assert rows[rows["side"] == 1]["call"].nunique() == 1
+    assert (marks["k"] == 0).sum() == marks["call"].nunique() - 1

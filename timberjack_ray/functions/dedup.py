@@ -319,9 +319,10 @@ def candidate_pairs(band_ds, num_perm: int = 64, threshold: float = 0.7,
         return _pairs_segmented(pa.concat_tables(frames), threshold,
                                 max_bucket).to_pandas()
 
-    # distributed: coarse-bucket the band hashes so each map_groups call
-    # pairs MANY buckets with the one-lexsort segmented kernel (grouping on
-    # the raw (band, hash) key would be per-bucket Python at LSH scale)
+    # distributed: coarse-bucket the band hashes so each exchange call (one
+    # shuffled block of whole buckets) pairs MANY buckets with the
+    # one-lexsort segmented kernel (grouping on the raw (band, hash) key
+    # would be per-bucket Python at LSH scale)
     return bucket_exchange(
         filtered, ["band_hash"],
         lambda t: _pairs_segmented(t, threshold, max_bucket), 256)
@@ -442,8 +443,9 @@ def simhash_candidates(ds, col: str = "text"):
         })
 
     banded = sh.map_batches(explode, batch_format="pyarrow")
-    # coarse-bucket the 16-bit band keys: each map_groups call pairs MANY
-    # (band, key) buckets with one segmented vectorized pass
+    # coarse-bucket the 16-bit band keys: each exchange call (one shuffled
+    # block of whole buckets) pairs MANY (band, key) buckets with one
+    # segmented vectorized pass
     return bucket_exchange(banded, ["key"], _simhash_pairs_segmented, 256)
 
 
@@ -746,7 +748,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.6, k: int = 3,
     def filter_hot(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t["gram"], value_set=ray.get(hot_ref)))
 
-    # coarse-bucket the hot grams: each map_groups call runs the SAME
+    # coarse-bucket the hot grams: each exchange call (one shuffled block
+    # of whole buckets) runs the SAME
     # vectorized multi-gram verify as the driver fold over its slice (one
     # lexsort + unique-pair triu + chunked exact intersection — never a
     # per-gram or per-pair Python call); nested Ray tasks stay off inside

@@ -402,9 +402,10 @@ def embedding_near_dup(ds, threshold: float = 0.95, n_planes: int = 8, n_tables:
             .to_pandas().drop_duplicates(["a", "b"])
         return rd.from_pandas(out.reset_index(drop=True))
 
-    # distributed: coarse-bucket the LSH bucket keys so each map_groups
-    # call verifies MANY buckets in one segmented vectorized pass (per-raw-
-    # bucket grouping would be per-bucket Python at LSH cardinality)
+    # distributed: coarse-bucket the LSH bucket keys so each exchange call
+    # (one shuffled block of whole buckets) verifies MANY buckets in one
+    # segmented vectorized pass (per-raw-bucket grouping would be
+    # per-bucket Python at LSH cardinality)
     pairs = bucket_exchange(
         bucketed, ["bucket"],
         lambda t: _cosine_pairs_segmented(t, threshold, id_col, vec_col), 256)

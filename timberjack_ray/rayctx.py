@@ -10,6 +10,18 @@ multi-node clusters too (blocks ≈ 2-4× total cores; at 100 TB the natural
 128 MiB-target block count is far above that floor, so the min only
 distorts SMALL inputs and lowering it is safe at every scale).
 
+The floor also splits any read over fewer files than it: at 1 CPU the
+floor is 8, so 4 files plan as ``ReadParquet->SplitBlocks(2)``.  A Ray
+Data task pauses once ``_max_num_blocks_in_streaming_gen_buffer`` of its
+output blocks (default 2) are unconsumed, so a split read task paused on
+its last block keeps holding its CPU, and the executor's
+``process_completed_tasks`` then waits out its full 100 ms ``ray.wait``
+timeout on every scheduling step while the next task queues behind it.
+The routed flagship over 4 files at 1 CPU (Ray 2.49.2) left the CPU idle
+for ~0.2 s of a 0.87 s operation that way (wall minus the CPU time of
+every session process); a buffer that holds a whole split read leaves it
+busy throughout, and the operation takes 0.46 s.
+
 Never calls ray.init(); safe to call from driver-owned sessions.
 """
 
@@ -44,6 +56,11 @@ def tune_for_cluster(num_cpus: int | None = None):
     ctx.read_op_min_num_blocks = floor
     ctx.min_parallelism = floor
     ctx.default_hash_shuffle_parallelism = floor
+    # the floor splits a read task into at most `floor` blocks; buffering
+    # one block more means a split read never pauses while holding its CPU
+    # (see the module docstring; the 4-file flagship at 1 CPU went
+    # 0.76 s -> 0.48 s per operation)
+    ctx._max_num_blocks_in_streaming_gen_buffer = floor + 1
     ctx.enable_progress_bars = False
     # our pipelines are short chains of fused map operators over pre-split
     # inputs; the 50% per-operator resource reservation leaves the dominant
