@@ -5663,127 +5663,87 @@ def q_curation_pipeline_v3(sf_dir: str):
 
 
 def q_stream_dedup_docs(sf_dir: str):
-    """STREAMING exact dedup (state/dedup_index.StreamingDeduper): docs
-    arrive in doc_id order as micro-batches and each batch is filtered
-    against the sharded first-seen actor index before flowing on — the
-    ingest-time dedup a batch groupby cannot express.  Deterministic
-    arrival order ⇒ first-seen = min doc_id, which the SQL oracle
-    replays."""
-    from timberjack_ray.state.dedup_index import StreamingDeduper
+    """STREAMING exact dedup (state/dedup_index.first_seen): docs arrive
+    in doc_id order and each is kept only if its text was never seen
+    before — the ingest-time first-seen policy, run as one exchange on the
+    text hash whose buckets fold the first-seen index in arrival order.
+    First-seen = min doc_id, which the SQL oracle replays."""
+    from timberjack_ray.state.dedup_index import first_seen
 
-    ds = _rp(sf_dir, "documents", columns=["doc_id", "text"]) \
-        .sort("doc_id")
-    kept = []
-    with StreamingDeduper(n_shards=8) as d:
-        for b in ds.iter_batches(batch_size=256, batch_format="pyarrow"):
-            fresh = d.filter_batch(b, col="text")
-            if fresh.num_rows:
-                kept.append(fresh.select(["doc_id"]))
-    if not kept:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
-    out = pa.concat_tables(kept).to_pandas()
+    ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
+    out = first_seen(ds, "text", ["doc_id"]).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True) \
         .astype({"doc_id": "int64"})
 
 
 def q_stream_near_dup_pairs(sf_dir: str):
-    """STREAMING near-dup detection (state/lsh_index.StreamingNearDup):
-    docs arrive in doc_id order; each batch is probed against the
-    sharded LSH band index and verified pairs (new vs anything seen
-    earlier) stream out.  Docs with doc_id % 101 == 0 get a planted
-    near-copy at id+10¹² (safely above any real id) injected into the
-    NEXT batch, so the cross-batch probe-and-fetch path has ground truth
-    at any sf — rows-only (no SQL; planted-pair pytest evidence in
-    `tests/test_state.py`)."""
-    from timberjack_ray.state.lsh_index import StreamingNearDup
+    """STREAMING near-dup detection (state/lsh_index.near_dup_pairs):
+    docs arrive in doc_id order and each is verified against every
+    earlier doc sharing a MinHash band key — one exchange on the band
+    key, each bucket folding the LSH index in arrival order.  Docs with
+    doc_id % 101 == 0 get a planted near-copy at id+10¹² (safely above any
+    real id) arriving right after its original, so the pair path has
+    ground truth at any sf — rows-only (no SQL; planted-pair pytest
+    evidence in `tests/test_state.py`)."""
+    from timberjack_ray.state.lsh_index import near_dup_pairs
 
-    ds = _rp(sf_dir, "documents", columns=["doc_id", "text"]) \
-        .sort("doc_id")
+    ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def make_plants(t: pa.Table) -> pa.Table | None:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        m = ids % 101 == 0
-        if not m.any():
-            return None
-        plant = t.filter(pa.array(m))
-        s = plant["text"].to_pandas()
-        txt = s.str.rsplit(" ", n=1).str[0] + " planted"
-        return pa.table({"doc_id": pa.array(
-            plant["doc_id"].to_numpy(zero_copy_only=False)
-            + 1_000_000_000_000),
-            "text": pa.array(txt)})
+    def with_plants(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy()
+        plant = t.filter(pa.array(ids % 101 == 0))
+        txt = plant["text"].to_pandas().str.rsplit(" ", n=1).str[0] \
+            + " planted"
+        pid = plant["doc_id"].to_numpy()
+        return pa.table({
+            "doc_id": pa.array(np.r_[ids, pid + 1_000_000_000_000]),
+            "text": pa.concat_arrays([t["text"].combine_chunks(),
+                                      pa.array(txt, pa.string())]),
+            # a plant arrives right after its original
+            "arrival": pa.array(np.r_[ids * 2, pid * 2 + 1])})
 
-    pairs = []
-    carry = None  # plants from batch i arrive with batch i+1: CROSS-batch
-    with StreamingNearDup(n_shards=8, num_perm=64, bands=16,
-                          min_eq=32) as idx:
-        for b in ds.iter_batches(batch_size=256, batch_format="pyarrow"):
-            feed = pa.concat_tables([carry, b]) if carry is not None                 else b
-            p = idx.process_batch(feed)
-            if len(p):
-                pairs.append(p)
-            carry = make_plants(b)
-        if carry is not None:
-            p = idx.process_batch(carry)
-            if len(p):
-                pairs.append(p)
-    if not pairs:
-        return pd.DataFrame({"new_id": pd.Series([], dtype="int64"),
-                             "seen_id": pd.Series([], dtype="int64"),
-                             "n_eq": pd.Series([], dtype="int64")})
-    return pd.concat(pairs).sort_values(["new_id", "seen_id"]) \
-        .reset_index(drop=True)
+    out = near_dup_pairs(ds.map_batches(with_plants, batch_format="pyarrow"),
+                         "text", "doc_id", ["arrival"]).to_pandas()
+    return out.sort_values(["new_id", "seen_id"]).reset_index(drop=True)
 
 
 def q_stream_quota_admit(sf_dir: str):
-    """Streaming per-source quota admission (state/quota.QuotaAdmitter):
+    """Streaming per-source quota admission (state/quota.quota_admit):
     docs arrive in doc_id order; each source admits docs until its
-    2 000-char budget is spent (inclusive, docs never split).  Arrival
-    order is deterministic, so the cut replays as a SQL inclusive
-    running-sum window."""
-    from timberjack_ray.state.quota import QuotaAdmitter
+    2 000-char budget is spent (inclusive, docs never split) — one
+    exchange on the source, each bucket folding the running totals in
+    arrival order.  The cut replays as a SQL inclusive running-sum
+    window."""
+    from timberjack_ray.state.quota import quota_admit
 
-    ds = _rp(sf_dir, "documents",
-             columns=["doc_id", "source", "n_chars"]).sort("doc_id")
-    kept = []
-    with QuotaAdmitter(budget=2_000, n_shards=4) as q:
-        for b in ds.iter_batches(batch_size=256, batch_format="pyarrow"):
-            fresh = q.filter_batch(b, "source", "n_chars")
-            if fresh.num_rows:
-                kept.append(fresh)
-    if not kept:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "source": pd.Series([], dtype="object"),
-                             "n_chars": pd.Series([], dtype="int64")})
-    out = pa.concat_tables(kept).to_pandas()
+    ds = _rp(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
+    out = quota_admit(ds, "source", "n_chars", ["doc_id"], 2_000).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True) \
         .astype({"doc_id": "int64", "n_chars": "int64"})
 
 
 def q_stream_rate_limit(sf_dir: str):
-    """Streaming windowed rate limiter (state/rate_limit.RateLimiter):
+    """Streaming windowed rate limiter (state/rate_limit.rate_limit):
     events arrive in (ts, id) order; each (user, DAY) admits its first
-    2 events and drops the flood (~30% of this corpus) — per-key state
-    resets every window so shard memory is one live counter per key at
-    any stream length.  Deterministic arrival order makes the admission
-    SQL-replayable (ROW_NUMBER per (user, day) ≤ 2); admitted counts
-    per type."""
-    from timberjack_ray.state.rate_limit import RateLimiter
+    2 events and drops the flood (~30% of this corpus) — one exchange on
+    the user, each bucket folding one live counter per user in arrival
+    order.  The admission replays in SQL (ROW_NUMBER per (user, day)
+    ≤ 2); admitted counts per type fold with merge_partials."""
+    from timberjack_ray.aggregates import merge_partials
+    from timberjack_ray.state.rate_limit import rate_limit
 
     ds = _rp(sf_dir, "events",
-             columns=["event_id", "user_id", "ts", "event_type"]) \
-        .sort(["ts", "event_id"])
-    counts: dict[str, int] = {}
-    with RateLimiter(k=2, window_s=86_400, n_shards=4) as rl:
-        for b in ds.iter_batches(batch_size=512, batch_format="pyarrow"):
-            kept = rl.filter_batch(b, "user_id", "ts")
-            if kept.num_rows:
-                g = kept.group_by("event_type").aggregate([([], "count_all")])
-                for ty, n in zip(g["event_type"].to_pylist(),
-                                 g["count_all"].to_pylist()):
-                    counts[ty] = counts.get(ty, 0) + int(n)
-    return pd.DataFrame(sorted(counts.items()),
-                        columns=["event_type", "n"]).astype({"n": "int64"})
+             columns=["event_id", "user_id", "ts", "event_type"])
+
+    def per_type(t: pa.Table) -> pa.Table:
+        g = t.group_by("event_type").aggregate([([], "count_all")])
+        return g.rename_columns(["event_type", "n"])
+
+    kept = rate_limit(ds, "user_id", "ts", ["ts", "event_id"], 2, 86_400)
+    out = merge_partials(kept.map_batches(per_type, batch_format="pyarrow"),
+                         ["event_type"], "n").to_pandas()
+    return out.sort_values("event_type").reset_index(drop=True) \
+        .astype({"n": "int64"})
 
 
 def q_dedup_keep_best_docs(sf_dir: str):
@@ -5946,28 +5906,19 @@ def q_source_skew_stats(sf_dir: str):
 
 def q_stream_chunk_novelty(sf_dir: str):
     """STREAMING chunk-level novelty accounting (state/cdc_index.
-    StreamingChunkDeduper): docs arrive in doc_id order; each batch is
-    CDC-chunked and probed against the sharded first-seen chunk index,
-    reporting per-source chars genuinely new vs already-stored — the
-    incremental-crawl storage planner exact doc-hash dedup cannot give
-    (edited re-crawls share most chunks).  The probes run INSIDE
-    map_batches tasks holding the shard actor handles (ChunkNoveltyStage
-    — VERDICT r3 #2, a pickled stage instance, no actor pool): text never
-    crosses the driver, only per-source partials fold.  Rows-only: gear-hash chunking is not SQL-replayable;
-    planted exact/edited re-crawl truth is pinned in tests/test_state.py."""
-    from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.state.cdc_index import (ChunkNoveltyStage,
-                                                StreamingChunkDeduper)
+    chunk_novelty): docs arrive in doc_id order; each is CDC-chunked and
+    each chunk is new or already stored, reporting per-source chars
+    genuinely new vs already-stored — the incremental-crawl storage
+    planner exact doc-hash dedup cannot give (edited re-crawls share most
+    chunks).  One exchange on the chunk hash, each bucket folding the
+    first-seen index in (doc_id, chunk_idx) order; text never crosses the
+    driver, only per-source partials fold.  Rows-only: gear-hash chunking
+    is not SQL-replayable; planted exact/edited re-crawl truth is pinned
+    in tests/test_state.py."""
+    from timberjack_ray.state.cdc_index import chunk_novelty
 
-    ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "source"]) \
-        .sort("doc_id")
-    with StreamingChunkDeduper(n_shards=8) as d:
-        parts = ds.map_batches(
-            ChunkNoveltyStage(d.shards, d.cdc_params),
-            batch_format="pyarrow", batch_size=256)
-        out = merge_partials(parts, ["source"],
-                             ["n_chunks", "new_chars", "dup_chars"]) \
-            .to_pandas()
+    ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "source"])
+    out = chunk_novelty(ds, "text", "doc_id", "source").to_pandas()
     return out.sort_values("source").reset_index(drop=True) \
         .astype({"n_chunks": "int64", "new_chars": "int64",
                  "dup_chars": "int64"})
@@ -6271,25 +6222,23 @@ def q_user_decayed_value(sf_dir: str):
 
 
 def q_stream_heavy_hitters(sf_dir: str):
-    """STREAMING running top-K words (state/topk_index.StreamingTopK):
-    document batches arrive in doc_id order, each batch's words fold to
-    exact distinct counts and merge into sharded Misra-Gries summaries —
-    the "what's exploding right now" monitor over an open stream, with
-    ≤ k·shards slots of state at ANY vocabulary.  Rows-only: MG lower
-    bounds depend on batch boundaries; the guarantee band (true−err ≤
-    n_lo ≤ true, heavy keys always present) is pinned in
-    tests/test_state.py and re-checked here against the exact corpus
-    counts."""
-    import pyarrow.compute as pc2
+    """STREAMING running top-K words (state/topk_index.heavy_hitters):
+    one exchange on the word, each call folding the exact counts of its
+    buckets' words into one Misra-Gries(64) summary — ≤ 64 slots of
+    state per call at ANY vocabulary.  Rows-only: MG lower bounds depend
+    on how keys fall into calls; the guarantee band (true−err ≤ n_lo ≤
+    true, heavy keys always present) is pinned in tests/test_state.py
+    and re-checked here against the exact corpus counts."""
+    from timberjack_ray.state.topk_index import heavy_hitters
 
-    from timberjack_ray.state.topk_index import StreamingTopK
+    ds = _rp(sf_dir, "documents", columns=["text"])
 
-    ds = _rp(sf_dir, "documents", columns=["doc_id", "text"]).sort("doc_id")
-    with StreamingTopK(n_shards=8, k_per_shard=64) as hh:
-        for b in ds.iter_batches(batch_size=256, batch_format="pyarrow"):
-            hh.add_keys(pc2.list_flatten(pc2.split_pattern(b["text"], " ")))
-        top = hh.topk(10)
-    return top
+    def words(t: pa.Table) -> pa.Table:
+        return pa.table({"word": pc.list_flatten(
+            pc.split_pattern(t["text"], " "))})
+
+    return heavy_hitters(ds.map_batches(words, batch_format="pyarrow"),
+                         "word", 10)
 
 
 def q_dsir_scores(sf_dir: str):

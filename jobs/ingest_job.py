@@ -1,11 +1,11 @@
-"""Incremental-crawl ingest job — the streaming state tier end-to-end:
+"""Incremental-crawl ingest job — the stream policies end-to-end, in one
+process (no Ray session; ``ray job submit --working-dir`` runs it as is):
 
-    ray job submit --working-dir /path/to/repo -- \
-        python jobs/ingest_job.py --input '/data/crawl/*.parquet' \
+    python jobs/ingest_job.py --input '/data/crawl/*.parquet' \
         --out-dir /data/clean --budget 500000000 --near-dup-log /data/nd.parquet
 
-Shards of an arriving crawl are processed IN ORDER as micro-batches; each
-batch flows through
+Shards of an arriving crawl are read IN ORDER on the driver as
+micro-batches; each batch flows through
 
     exact first-seen dedup   (state/dedup_index.StreamingDeduper)
   → near-dup detection       (state/lsh_index.StreamingNearDup — pairs are
@@ -22,8 +22,10 @@ input shard — a crashed run re-submitted with the same --out-dir skips
 shards whose output file already exists, the same resume contract as the
 flagship job).  Output: ONE JSON line of metrics.
 
-This is the composition the batch pipelines can't express: every filter
-depends on MUTABLE state accumulated over everything ingested so far.
+Every filter depends on state accumulated over everything ingested so
+far, and this loop already reads every row in one process, so each policy
+holds its index in-process: one front-end per policy, the same classes the
+stream queries fold per key bucket.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ def main(argv=None) -> int:
     ap.add_argument("--near-dup-log", default=None,
                     help="parquet file for detected near-dup pairs")
     ap.add_argument("--batch-size", type=int, default=4096)
-    ap.add_argument("--n-shards", type=int, default=8)
     ap.add_argument("--min-eq", type=int, default=32)
     ap.add_argument("--min-new-frac", type=float, default=None,
                     help="drop docs whose CDC chunk-level new-char "
@@ -59,11 +60,6 @@ def main(argv=None) -> int:
                          "this (edited re-crawl policy); chunk accounting "
                          "runs only when set")
     args = ap.parse_args(argv)
-
-    import ray
-
-    if not ray.is_initialized():
-        ray.init()
 
     import numpy as np
     import pandas as pd
@@ -85,63 +81,58 @@ def main(argv=None) -> int:
     n_in = n_exact = n_quota = n_out = n_skipped = 0
     n_stale = new_chars = dup_chars = 0
     nd_pairs = []
-    import contextlib
-
-    chunky = StreamingChunkDeduper(n_shards=args.n_shards) \
-        if args.min_new_frac is not None else contextlib.nullcontext()
-    with StreamingDeduper(n_shards=args.n_shards) as dedup, \
-            StreamingNearDup(n_shards=args.n_shards,
-                             min_eq=args.min_eq) as near, \
-            QuotaAdmitter(budget=args.budget,
-                          n_shards=args.n_shards) as quota, chunky:
-        for f in files:
-            out_f = os.path.join(
-                args.out_dir,
-                os.path.basename(f).replace(".parquet", "") + ".clean.parquet")
-            done_already = os.path.exists(out_f)
-            pf = pq.ParquetFile(f)
-            out_batches = []
-            for rb in pf.iter_batches(batch_size=args.batch_size):
-                t = pa.Table.from_batches([rb])
-                n_in += t.num_rows
-                fresh = dedup.filter_batch(t, col="text")
-                n_exact += t.num_rows - fresh.num_rows
-                if fresh.num_rows and args.min_new_frac is not None:
-                    # chunk-level novelty vs everything ingested so far:
-                    # edited re-crawls share most chunks and get dropped
-                    # BEFORE they spend quota.  The index claims chunks of
-                    # dropped docs too (seen content stays seen).
-                    acct = chunky.account_batch(fresh).to_pandas() \
-                        .set_index("doc_id")
-                    a = acct.loc[fresh["doc_id"].to_pylist()]
-                    tot = (a["new_chars"] + a["dup_chars"]).to_numpy()
-                    frac = a["new_chars"].to_numpy() / np.maximum(tot, 1)
-                    keep = frac >= args.min_new_frac
-                    new_chars += int(a["new_chars"].sum())
-                    dup_chars += int(a["dup_chars"].sum())
-                    n_stale += int((~keep).sum())
-                    fresh = fresh.filter(pa.array(keep))
-                if fresh.num_rows:
-                    p = near.process_batch(fresh)
-                    if len(p):
-                        nd_pairs.append(p)
-                    admitted = quota.filter_batch(fresh, "source",
-                                                  "n_chars")
-                    n_quota += fresh.num_rows - admitted.num_rows
-                    if admitted.num_rows and not done_already:
-                        out_batches.append(admitted)
-                    n_out += admitted.num_rows
-            if done_already:
-                n_skipped += 1       # resume: output exists, but the
-                # stream STILL flowed through the indexes so later
-                # shards dedup/quota against it — state, not files,
-                # carries the semantics
-            elif out_batches:
-                pq.write_table(pa.concat_tables(out_batches), out_f)
-            else:
-                # zero survivors still gets a (schema-only) output file —
-                # the resume marker must not depend on the filter outcome
-                pq.write_table(pf.schema_arrow.empty_table(), out_f)
+    dedup = StreamingDeduper()
+    near = StreamingNearDup(min_eq=args.min_eq)
+    quota = QuotaAdmitter(budget=args.budget)
+    chunky = StreamingChunkDeduper()
+    for f in files:
+        out_f = os.path.join(
+            args.out_dir,
+            os.path.basename(f).replace(".parquet", "") + ".clean.parquet")
+        done_already = os.path.exists(out_f)
+        pf = pq.ParquetFile(f)
+        out_batches = []
+        for rb in pf.iter_batches(batch_size=args.batch_size):
+            t = pa.Table.from_batches([rb])
+            n_in += t.num_rows
+            fresh = dedup.filter_batch(t, col="text")
+            n_exact += t.num_rows - fresh.num_rows
+            if fresh.num_rows and args.min_new_frac is not None:
+                # chunk-level novelty vs everything ingested so far:
+                # edited re-crawls share most chunks and get dropped
+                # BEFORE they spend quota.  The index claims chunks of
+                # dropped docs too (seen content stays seen).
+                acct = chunky.account_batch(fresh).to_pandas() \
+                    .set_index("doc_id")
+                a = acct.loc[fresh["doc_id"].to_pylist()]
+                tot = (a["new_chars"] + a["dup_chars"]).to_numpy()
+                frac = a["new_chars"].to_numpy() / np.maximum(tot, 1)
+                keep = frac >= args.min_new_frac
+                new_chars += int(a["new_chars"].sum())
+                dup_chars += int(a["dup_chars"].sum())
+                n_stale += int((~keep).sum())
+                fresh = fresh.filter(pa.array(keep))
+            if fresh.num_rows:
+                p = near.process_batch(fresh)
+                if len(p):
+                    nd_pairs.append(p)
+                admitted = quota.filter_batch(fresh, "source",
+                                              "n_chars")
+                n_quota += fresh.num_rows - admitted.num_rows
+                if admitted.num_rows and not done_already:
+                    out_batches.append(admitted)
+                n_out += admitted.num_rows
+        if done_already:
+            n_skipped += 1       # resume: output exists, but the
+            # stream STILL flowed through the indexes so later
+            # shards dedup/quota against it — state, not files,
+            # carries the semantics
+        elif out_batches:
+            pq.write_table(pa.concat_tables(out_batches), out_f)
+        else:
+            # zero survivors still gets a (schema-only) output file —
+            # the resume marker must not depend on the filter outcome
+            pq.write_table(pf.schema_arrow.empty_table(), out_f)
     if args.near_dup_log and nd_pairs:
         pq.write_table(
             pa.Table.from_pandas(pd.concat(nd_pairs),

@@ -177,14 +177,61 @@ def _zorder_stats(ds):
     return zorder_layout_stats(ds, "x", "y", n_ranges=2)
 
 
+def _first_seen(ds):
+    from timberjack_ray.state.dedup_index import first_seen
+
+    return first_seen(ds, "text", ["doc_id"])
+
+
+def _quota_admit(ds):
+    from timberjack_ray.state.quota import quota_admit
+
+    return quota_admit(ds, "g", "w", ["doc_id"], 5)
+
+
+def _rate_limit_counts(ds):
+    from timberjack_ray.aggregates import merge_partials
+    from timberjack_ray.state.rate_limit import rate_limit
+
+    def per_type(t):
+        g = t.group_by("ty").aggregate([([], "count_all")])
+        return g.rename_columns(["ty", "n"])
+
+    kept = rate_limit(ds, "u", "ts", ["ts", "id"], 1, 1)
+    return merge_partials(kept.map_batches(per_type, batch_format="pyarrow"),
+                          ["ty"], "n")
+
+
+def _chunk_novelty(ds):
+    from timberjack_ray.state.cdc_index import chunk_novelty
+
+    return chunk_novelty(ds, "text", "doc_id", "source")
+
+
+def _near_dup_pairs(ds):
+    from timberjack_ray.state.lsh_index import near_dup_pairs
+
+    return near_dup_pairs(ds, "text", "doc_id", ["doc_id"])
+
+
+def _heavy_hitters(ds):
+    from timberjack_ray.state.topk_index import heavy_hitters
+
+    return heavy_hitters(ds, "word", 2)
+
+
 def _columns(out):
-    """(name, type) pairs of a pandas frame or a Dataset result."""
+    """(name, type) pairs of a pandas frame, an Arrow table or a Dataset
+    result."""
     import pandas as pd
 
     if isinstance(out, pd.DataFrame):
         return [(c, str(t)) for c, t in out.dtypes.items()]
-    s = out.schema()
+    s = out.schema() if callable(out.schema) else out.schema
     return list(zip(s.names, map(str, s.types)))
+
+
+_TEXTS = ["a b c d e f g h", "a b c d e f g h", "x y z w v u t s"]
 
 
 @pytest.mark.parametrize("op, table", [
@@ -192,7 +239,18 @@ def _columns(out):
                  "embedding": [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]]}),
     (_range_stats, {"x": [1, 2, 3]}),
     (_zorder_stats, {"x": [1, 2, 3], "y": [3, 1, 2]}),
-], ids=["embedding_near_dup", "range_partition_stats", "zorder_layout_stats"])
+    (_first_seen, {"doc_id": [1, 2, 3], "text": _TEXTS}),
+    (_quota_admit, {"doc_id": [1, 2, 3], "g": ["a", "a", "b"],
+                    "w": [3, 3, 3]}),
+    (_rate_limit_counts, {"id": [1, 2, 3], "u": [7, 7, 8],
+                          "ts": [0, 10, 20], "ty": ["v", "c", "v"]}),
+    (_chunk_novelty, {"doc_id": [1, 2, 3], "text": _TEXTS,
+                      "source": ["s", "s", "t"]}),
+    (_near_dup_pairs, {"doc_id": [1, 2, 3], "text": _TEXTS}),
+    (_heavy_hitters, {"word": ["a", "b", "a"]}),
+], ids=["embedding_near_dup", "range_partition_stats", "zorder_layout_stats",
+        "first_seen", "quota_admit", "rate_limit", "chunk_novelty",
+        "near_dup_pairs", "heavy_hitters"])
 def test_empty_input_typed_result(ray_session, op, table):
     """A 0-row input returns 0 rows with the columns and dtypes of the
     non-empty path, not an IndexError/KeyError."""
@@ -203,7 +261,7 @@ def test_empty_input_typed_result(ray_session, op, table):
     t = pa.table(table)
     full = op(rd.from_arrow(t))
     empty = op(rd.from_arrow(t.slice(0, 0)))
-    assert (len(empty) if isinstance(empty, pd.DataFrame)
+    assert (len(empty) if isinstance(empty, (pd.DataFrame, pa.Table))
             else empty.count()) == 0
     assert _columns(empty) == _columns(full)
 

@@ -24,8 +24,10 @@ from tests.test_entry_queries import SF_DIR
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUERIES = ["curation_pipeline_v2", "rare_bigram_counts", "doc_top_term"]
 TASK_STAGE_QUERIES = ["langid", "enrich_customers", "quality_scores",
-                      "best_doc_per_lang", "stream_dedup_docs"]
-LIVENESS_QUERIES = ["ann_ivf", "embedding_near_dup", "stream_chunk_novelty"]
+                      "best_doc_per_lang", "stream_dedup_docs",
+                      "stream_quota_admit", "stream_rate_limit"]
+LIVENESS_QUERIES = ["ann_ivf", "embedding_near_dup", "stream_chunk_novelty",
+                    "stream_near_dup_pairs", "stream_heavy_hitters"]
 TIMEOUT_S = 60
 
 CHILD = textwrap.dedent("""

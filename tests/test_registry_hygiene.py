@@ -119,3 +119,41 @@ def test_map_batches_runs_tasks_only():
                               if kw.arg in ("concurrency",
                                             "fn_constructor_kwargs")]
     assert not offenders, offenders
+
+
+def test_no_actor_classes():
+    """No class in ``timberjack_ray/`` or ``__ray_entry__.py`` becomes a
+    Ray actor (decorated with, or passed to, ``ray.remote``), and no
+    ``ShardPool`` is defined or used: per-key state runs as a fold inside
+    the bucket exchange, never in actors a driver feeds.  Remote
+    functions (tasks) are allowed."""
+    from pathlib import Path
+
+    def is_ray_remote(node) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return isinstance(node, ast.Attribute) and node.attr == "remote" \
+            and isinstance(node.value, ast.Name) and node.value.id == "ray"
+
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "timberjack_ray").rglob("*.py")) \
+        + [root / "__ray_entry__.py"]
+    offenders = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        classes = {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)}
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ClassDef) \
+                    and any(map(is_ray_remote, node.decorator_list)):
+                offenders.append(f"{where} @ray.remote class {node.name}")
+            elif isinstance(node, ast.Call) and is_ray_remote(node.func) \
+                    and any(isinstance(a, ast.Name) and a.id in classes
+                            for a in node.args):
+                offenders.append(f"{where} ray.remote(<class>)")
+            elif "ShardPool" in (getattr(node, "id", None),
+                                 getattr(node, "name", None),
+                                 getattr(node, "attr", None)):
+                offenders.append(f"{where} ShardPool")
+    assert not offenders, offenders

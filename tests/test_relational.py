@@ -867,7 +867,8 @@ def test_exchange_calls_get_whole_buckets(ray_session):
     buckets, once per shuffled block: every bucket id reaches exactly one
     call, every row arrives exactly once, and on 5 input blocks over 32
     buckets the calls are fewer than the buckets.  Each ``bucket_cogroup``
-    call gets one typed table per side, empty ones included."""
+    call gets one typed table per side, empty ones included.  The
+    exchange step is named after the function."""
     import uuid
 
     import ray.data as rd
@@ -904,8 +905,11 @@ def test_exchange_calls_get_whole_buckets(ray_session):
     def per_call(t: pa.Table) -> pa.Table:
         return tag(t, "k", 0, uuid.uuid4().hex)
 
-    out = bucket_exchange(rd.from_arrow(left).repartition(5), ["k"],
-                          per_call, n_buckets).to_pandas()
+    ex = bucket_exchange(rd.from_arrow(left).repartition(5), ["k"],
+                         per_call, n_buckets).materialize()
+    # the exchange step is named after its function in plans and stats
+    assert "MapBatches(per_call)" in ex.stats(), ex.stats()
+    out = ex.to_pandas()
     calls_of(out)
     assert sorted(out["k"]) == list(range(400))
 
@@ -920,10 +924,12 @@ def test_exchange_calls_get_whole_buckets(ray_session):
         return pa.concat_tables([tag(lt, "k", 0, call),
                                  tag(rt, "k2", 1, call), marks])
 
-    out = bucket_cogroup(
+    ex = bucket_cogroup(
         [(rd.from_arrow(left).repartition(3), ["k"]),
          (rd.from_arrow(right).repartition(2), ["k2"])],
-        per_cogroup, n_buckets).to_pandas()
+        per_cogroup, n_buckets).materialize()
+    assert "MapBatches(per_cogroup)" in ex.stats(), ex.stats()
+    out = ex.to_pandas()
     marks = out[out["side"] == -1]
     rows = out[out["side"] != -1]
     calls_of(rows[rows["side"] == 0])

@@ -1,6 +1,6 @@
-"""Sharded first-seen dedup index (state/dedup_index): shard-state fuzz
-against a Python-set reference, and the actor-pool front-end on planted
-cross-batch duplicates."""
+"""Stream policies (state/): state fuzz against Python references, the
+in-process front-ends on planted cross-batch cases, the ingest job, and
+the exchange form against the sequential replay."""
 import numpy as np
 import pyarrow as pa
 
@@ -29,9 +29,9 @@ def test_shard_state_vs_set_reference():
         assert st.size() == len(seen)
 
 
-def test_streaming_deduper_cross_batch(ray_session):
+def test_streaming_deduper_cross_batch():
     """Planted dups across micro-batches: first arrival survives, later
-    copies are dropped, index size = distinct texts, close() frees."""
+    copies are dropped, index size = distinct texts."""
     from timberjack_ray.state.dedup_index import StreamingDeduper
 
     batches = [
@@ -40,16 +40,16 @@ def test_streaming_deduper_cross_batch(ray_session):
         pa.table({"doc_id": [6], "text": ["aa"]}),
         pa.table({"doc_id": [], "text": []}),
     ]
-    with StreamingDeduper(n_shards=3) as d:
-        out = [d.filter_batch(b, col="text") for b in batches]
-        assert out[0]["doc_id"].to_pylist() == [1, 2]   # in-batch dup 3
-        assert out[1]["doc_id"].to_pylist() == [5]       # 4 dups batch-0
-        assert out[2].num_rows == 0
-        assert out[3].num_rows == 0
-        assert d.index_size() == 3
+    d = StreamingDeduper()
+    out = [d.filter_batch(b, col="text") for b in batches]
+    assert out[0]["doc_id"].to_pylist() == [1, 2]   # in-batch dup 3
+    assert out[1]["doc_id"].to_pylist() == [5]       # 4 dups batch-0
+    assert out[2].num_rows == 0
+    assert out[3].num_rows == 0
+    assert d.size() == 3
 
 
-def test_streaming_deduper_matches_batch_dedup(ray_session):
+def test_streaming_deduper_matches_batch_dedup():
     """Feeding sorted arrivals must reproduce batch exact_dedup's min-id
     winners on a random corpus with heavy duplication."""
     from timberjack_ray.state.dedup_index import StreamingDeduper
@@ -63,11 +63,11 @@ def test_streaming_deduper_matches_batch_dedup(ray_session):
     want = sorted(expect.values())
 
     got = []
-    with StreamingDeduper(n_shards=4) as d:
-        for lo in range(0, 60, 7):
-            b = pa.table({"doc_id": ids[lo:lo + 7],
-                          "text": texts[lo:lo + 7]})
-            got += d.filter_batch(b, col="text")["doc_id"].to_pylist()
+    d = StreamingDeduper()
+    for lo in range(0, 60, 7):
+        b = pa.table({"doc_id": ids[lo:lo + 7],
+                      "text": texts[lo:lo + 7]})
+        got += d.filter_batch(b, col="text")["doc_id"].to_pylist()
     assert sorted(got) == want
 
 
@@ -91,7 +91,7 @@ def test_lsh_shard_state_reference():
     assert sorted(s.tolist()) == [1, 2]
 
 
-def test_streaming_near_dup_planted(ray_session):
+def test_streaming_near_dup_planted():
     """Planted cross-batch near-dups are found with high n_eq; unrelated
     docs produce no pairs; exact copies score n_eq = num_perm."""
     import numpy as np
@@ -107,17 +107,16 @@ def test_streaming_near_dup_planted(ray_session):
     b1 = pa.table({"doc_id": [1, 2], "text": [base, other]})
     b2 = pa.table({"doc_id": [3, 4, 5],
                    "text": [near, base, " ".join(f"r{j}" for j in range(30))]})
-    with StreamingNearDup(n_shards=4, num_perm=64, bands=16,
-                          min_eq=32) as idx:
-        p1 = idx.process_batch(b1)
-        assert len(p1) == 0
-        p2 = idx.process_batch(b2)
-        got = {(r.new_id, r.seen_id): r.n_eq
-               for r in p2.itertuples(index=False)}
-        assert (4, 1) in got and got[(4, 1)] == 64    # exact copy
-        assert (3, 1) in got and got[(3, 1)] >= 32    # planted near-dup
-        assert all(new in (3, 4) for new, _ in got)   # no false pairs for 5
-        assert idx.index_docs() == 5
+    idx = StreamingNearDup(num_perm=64, bands=16, min_eq=32)
+    p1 = idx.process_batch(b1)
+    assert len(p1) == 0
+    p2 = idx.process_batch(b2)
+    got = {(r.new_id, r.seen_id): r.n_eq
+           for r in p2.itertuples(index=False)}
+    assert (4, 1) in got and got[(4, 1)] == 64    # exact copy
+    assert (3, 1) in got and got[(3, 1)] >= 32    # planted near-dup
+    assert all(new in (3, 4) for new, _ in got)   # no false pairs for 5
+    assert idx.n_docs() == 5
 
 
 def test_quota_shard_prefix_rule():
@@ -135,8 +134,8 @@ def test_quota_shard_prefix_rule():
     assert st.totals() == {"a": 6, "b": 10}
 
 
-def test_quota_admitter_vs_window_oracle(ray_session):
-    """Random arrivals in id order through the actor pool must equal the
+def test_quota_admitter_vs_window_oracle():
+    """Random arrivals in id order through the admitter must equal the
     running-sum-window replay."""
     import numpy as np
     import pyarrow as pa
@@ -158,12 +157,12 @@ def test_quota_admitter_vs_window_oracle(ray_session):
             expect.append(i)
 
     got = []
-    with QuotaAdmitter(budget=50, n_shards=3) as q:
-        for lo in range(0, n, 13):
-            b = pa.table({"doc_id": ids[lo:lo + 13],
-                          "g": grp[lo:lo + 13],
-                          "w": w[lo:lo + 13]})
-            got += q.filter_batch(b, "g", "w")["doc_id"].to_pylist()
+    q = QuotaAdmitter(budget=50)
+    for lo in range(0, n, 13):
+        b = pa.table({"doc_id": ids[lo:lo + 13],
+                      "g": grp[lo:lo + 13],
+                      "w": w[lo:lo + 13]})
+        got += q.filter_batch(b, "g", "w")["doc_id"].to_pylist()
     assert got == expect
 
 
@@ -201,8 +200,7 @@ def test_ingest_job_end_to_end(ray_session, tmp_path):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(["--input", str(d_in / "*.parquet"),
-                   "--out-dir", str(d_out), "--budget", "30",
-                   "--n-shards", "2"])
+                   "--out-dir", str(d_out), "--budget", "30"])
     assert rc == 0
     m = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert m["rows_in"] == 5 and m["exact_dups_dropped"] == 1
@@ -217,15 +215,14 @@ def test_ingest_job_end_to_end(ray_session, tmp_path):
     buf2 = io.StringIO()
     with contextlib.redirect_stdout(buf2):
         rc = main(["--input", str(d_in / "*.parquet"),
-                   "--out-dir", str(d_out), "--budget", "30",
-                   "--n-shards", "2"])
+                   "--out-dir", str(d_out), "--budget", "30"])
     m2 = json.loads(buf2.getvalue().strip().splitlines()[-1])
     # s1 had zero survivors but still wrote a schema-only marker file,
     # so BOTH shards skip on resume
     assert m2["skipped_existing"] == 2 and m2["rows_out"] == 3
 
 
-def test_streaming_chunk_deduper_planted(ray_session):
+def test_streaming_chunk_deduper_planted():
     """StreamingChunkDeduper: an exact re-crawl is 100% dup chars; an
     edited re-crawl is mostly dup (boundary resync) with new chars near
     the edit; batch order determines which copy pays the novelty."""
@@ -242,10 +239,10 @@ def test_streaming_chunk_deduper_planted(ray_session):
                    "text": [base, "unrelated fresh text " * 20]})
     b2 = pa.table({"doc_id": pa.array([3, 4, 5], pa.int64()),
                    "text": [base, edited, ""]})
-    with StreamingChunkDeduper(n_shards=4) as d:
-        r1 = d.account_batch(b1).to_pandas().set_index("doc_id")
-        r2 = d.account_batch(b2).to_pandas().set_index("doc_id")
-        size_after = d.index_size()
+    d = StreamingChunkDeduper()
+    r1 = d.account_batch(b1).to_pandas().set_index("doc_id")
+    r2 = d.account_batch(b2).to_pandas().set_index("doc_id")
+    size_after = d.size()
     # first sight of base: all chunks new
     assert r1.loc[1, "dup_chars"] == 0
     assert r1.loc[1, "new_chars"] == len(base)
@@ -297,8 +294,7 @@ def test_ingest_job_chunk_novelty_policy(ray_session, tmp_path):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(["--input", str(d_in / "*.parquet"),
-                   "--out-dir", str(d_out), "--n-shards", "2",
-                   "--min-new-frac", "0.5"])
+                   "--out-dir", str(d_out), "--min-new-frac", "0.5"])
     assert rc == 0
     m = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert m["rows_in"] == 3 and m["exact_dups_dropped"] == 0
@@ -340,23 +336,23 @@ def test_topk_shard_state_mg_guarantees():
             assert c - s.err <= est[x] <= c, (x, c, est[x], s.err)
 
 
-def test_streaming_topk_planted_heavy_hitters(ray_session):
+def test_streaming_topk_planted_heavy_hitters():
     from timberjack_ray.state.topk_index import StreamingTopK
 
     rng = np.random.RandomState(9)
     truth = {}
-    with StreamingTopK(n_shards=4, k_per_shard=32) as hh:
-        for _ in range(20):
-            hot = np.repeat(np.array(["alpha", "beta"], dtype=object),
-                            [40, 25])
-            tail = np.array([f"w{v}" for v in rng.randint(0, 2000, 100)],
-                            dtype=object)
-            batch = np.concatenate([hot, tail])
-            rng.shuffle(batch)
-            hh.add_keys(batch)
-            for x in batch.tolist():
-                truth[x] = truth.get(x, 0) + 1
-        top = hh.topk(5)
+    hh = StreamingTopK(k=32)
+    for _ in range(20):
+        hot = np.repeat(np.array(["alpha", "beta"], dtype=object),
+                        [40, 25])
+        tail = np.array([f"w{v}" for v in rng.randint(0, 2000, 100)],
+                        dtype=object)
+        batch = np.concatenate([hot, tail])
+        rng.shuffle(batch)
+        hh.add_keys(batch)
+        for x in batch.tolist():
+            truth[x] = truth.get(x, 0) + 1
+    top = hh.topk(5)
     assert top.loc[0, "key"] == "alpha" and top.loc[1, "key"] == "beta"
     for _, r in top.iterrows():
         true = truth[r["key"]]
@@ -375,10 +371,9 @@ def test_rate_shard_window_reset():
     assert s.n_keys() == 1  # one live counter, not one per window
 
 
-def test_rate_limiter_vs_window_oracle(ray_session):
+def test_rate_limiter_vs_window_oracle():
     import duckdb
     import pandas as pd
-    import ray.data as rd
 
     from timberjack_ray.state.rate_limit import RateLimiter
 
@@ -390,12 +385,13 @@ def test_rate_limiter_vs_window_oracle(ray_session):
         "t": np.sort(rng.integers(0, 3_000_000, n)).astype("int64"),
     })
     kept = []
-    ds = rd.from_pandas(df).repartition(5).sort(["t", "id"])
-    with RateLimiter(k=3, window_s=1, n_shards=3) as rl:  # 1s windows (us ts)
-        for b in ds.iter_batches(batch_size=300, batch_format="pyarrow"):
-            f = rl.filter_batch(b, "k", "t")
-            if f.num_rows:
-                kept.append(f.to_pandas())
+    arrivals = pa.Table.from_pandas(df.sort_values(["t", "id"]),
+                                    preserve_index=False)
+    rl = RateLimiter(k=3, window_s=1)  # 1s windows (us ts)
+    for lo in range(0, n, 300):
+        f = rl.filter_batch(arrivals.slice(lo, 300), "k", "t")
+        if f.num_rows:
+            kept.append(f.to_pandas())
     got = pd.concat(kept).sort_values("id")["id"].tolist()
 
     con = duckdb.connect()
@@ -409,20 +405,19 @@ def test_rate_limiter_vs_window_oracle(ray_session):
 
 
 def test_chunk_novelty_stage_distributed_invariants(ray_session):
-    """ChunkNoveltyStage (map_batches probe — VERDICT r3 #2): per-source
-    n_chunks and total-chars accounting must match the sequential
-    driver-loop run exactly, and GLOBAL new_chars equals the distinct
-    chunk volume (a hash is claimed exactly once; same hash ⇒ same len).
-    Only the per-source new/dup split of a cross-source concurrent chunk
-    may differ — none are planted here, so everything matches."""
+    """``chunk_novelty`` (one exchange on the chunk hash, first arrival in
+    (doc_id, chunk_idx) order) must equal the sequential replay exactly:
+    per-source n_chunks and new/dup split, so also the GLOBAL new_chars
+    (a hash is claimed exactly once; same hash ⇒ same len).  Re-crawls
+    are planted within a source and across sources, and a source whose
+    only doc is empty keeps a zero row."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
-    from timberjack_ray.aggregates import merge_partials
-    from timberjack_ray.state.cdc_index import (ChunkNoveltyStage,
-                                                StreamingChunkDeduper)
+    from timberjack_ray.state.cdc_index import (StreamingChunkDeduper,
+                                                chunk_novelty)
 
     rng = np.random.RandomState(7)
     words = [f"w{i}" for i in range(2000)]
@@ -430,35 +425,32 @@ def test_chunk_novelty_stage_distributed_invariants(ray_session):
     for i in range(120):
         docs.append(" ".join(rng.choice(words, 150)))
         srcs.append(f"src{i % 3}")
-    # plant exact re-crawls WITHIN one source (split is then stable)
+    # exact re-crawls within one source, then across sources
     for i in range(20):
         docs.append(docs[i])
         srcs.append(srcs[i])
+    for i in range(20, 30):
+        docs.append(docs[i])
+        srcs.append(f"src{(i + 1) % 3}")
+    docs.append("")
+    srcs.append("src_empty")
     t = pa.table({"doc_id": pa.array(np.arange(len(docs), dtype=np.int64)),
                   "text": docs, "source": srcs})
 
     # sequential reference
-    with StreamingChunkDeduper(n_shards=4) as d:
-        ref = d.account_batch(t.select(["doc_id", "text"])).to_pandas()
+    ref = StreamingChunkDeduper().account_batch(
+        t.select(["doc_id", "text"])).to_pandas()
     ref["source"] = ref["doc_id"].map(dict(zip(range(len(srcs)), srcs)))
     want = ref.groupby("source")[["n_chunks", "new_chars", "dup_chars"]] \
         .sum().reset_index()
 
-    with StreamingChunkDeduper(n_shards=4) as d:
-        parts = rd.from_arrow(t).repartition(6).map_batches(
-            ChunkNoveltyStage(d.shards, d.cdc_params),
-            batch_format="pyarrow", batch_size=32)
-        got = merge_partials(parts, ["source"],
-                             ["n_chunks", "new_chars", "dup_chars"]) \
-            .to_pandas()
+    got = chunk_novelty(rd.from_arrow(t).repartition(6), "text", "doc_id",
+                        "source").to_pandas()
     got = got.sort_values("source").reset_index(drop=True)
     want = want.sort_values("source").reset_index(drop=True)
-    # chunk counts and per-source char totals are order-independent
-    assert got["n_chunks"].tolist() == want["n_chunks"].tolist()
-    tot_g = (got["new_chars"] + got["dup_chars"]).tolist()
-    tot_w = (want["new_chars"] + want["dup_chars"]).tolist()
-    assert tot_g == tot_w
-    # global novelty = distinct chunk volume, identical either way
-    assert int(got["new_chars"].sum()) == int(want["new_chars"].sum())
-    # dups were planted within-source, so the split matches too
+    assert got.loc[got["source"] == "src_empty",
+                   ["n_chunks", "new_chars", "dup_chars"]] \
+        .to_numpy().tolist() == [[0, 0, 0]]
+    # re-crawled chunks count as dup, not new
+    assert int(got["dup_chars"].sum()) > 0
     pd.testing.assert_frame_equal(got, want, check_dtype=False)

@@ -39,6 +39,8 @@ typed Arrow slices over that same exchange.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -528,12 +530,17 @@ def _group_buckets(sides: list, fn):
     slice each (256 by default): ``grouped_aggregate_ds`` over 100 k rows
     and 1 500 keys in a ``num_cpus=1`` session took 0.26 s at 8 buckets,
     0.55 s at 256 and 1.37 s at 1 024, and takes 0.23-0.26 s at each of
-    these counts once called per block.  Empty blocks are skipped.
+    these counts once called per block.  Empty blocks are skipped.  The
+    step is named after ``fn``.
     """
     ds = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    return ds.sort("__kb").map_batches(
-        lambda t: fn(t.drop_columns(["__kb"])), batch_size=None,
-        batch_format="pyarrow")
+
+    @functools.wraps(fn)  # plans and stats show MapBatches(<fn's name>)
+    def per_block(t: pa.Table) -> pa.Table:
+        return fn(t.drop_columns(["__kb"]))
+
+    return ds.sort("__kb").map_batches(per_block, batch_size=None,
+                                       batch_format="pyarrow")
 
 
 def bucket_cogroup(sides, fn, n_buckets: int = 256):
@@ -577,6 +584,7 @@ def bucket_cogroup(sides, fn, n_buckets: int = 256):
 
     n_sides = len(sides)  # the closure ships to workers: no Datasets in it
 
+    @functools.wraps(fn)
     def per_block(t: pa.Table):
         parts: list[list[pa.Table]] = [[] for _ in range(n_sides)]
         for side, buf in zip(t["__side"].to_numpy(), t["__slice"]):

@@ -1,4 +1,4 @@
-"""Sharded streaming CHUNK-level dedup — incremental-crawl storage/novelty
+"""Streaming CHUNK-level dedup — incremental-crawl storage/novelty
 accounting over the content-defined chunking family.
 
 Doc-level streaming dedup (`state/dedup_index.StreamingDeduper`) only
@@ -6,171 +6,105 @@ catches EXACT re-crawls; real crawls mostly deliver *edited* pages, where
 whole-doc hashes never repeat but most content chars do.  CDC boundaries
 (`functions/corpus.cdc_chunk_batch`) realign within one window of an edit,
 so chunk hashes make "how much of this batch is genuinely new?" answerable
-incrementally: each arriving batch is chunked, chunk hashes probe the same
-sharded first-seen index actors, and the per-doc novelty report streams
-out while the corpus-wide chunk index mutates underneath — the shared
-mutable state the Dataset API can't express.
+incrementally: each arriving batch is chunked, the chunk hashes probe the
+first-seen index (`dedup_index._ShardState`), and each doc gets its
+novelty against everything seen so far.
 
-Scale: shard memory = its distinct-chunk count × 8 B (hashes only — chunk
-BYTES never travel to the index); one probe round-trip per (batch, owning
-shard); horizontal capacity by adding shards.  Determinism: a fixed batch
-arrival order makes every count reproducible (first occurrence wins inside
-a batch via the shard's arrival-order mask).
+Memory = distinct chunks × 8 B (hashes only — chunk BYTES never reach the
+index).  Determinism: a fixed arrival order makes every count
+reproducible (first occurrence wins inside a batch).  ``chunk_novelty``
+runs the same index per chunk-hash bucket over a Dataset, in
+(doc, chunk) arrival order (``state.arrival_fold``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from timberjack_ray.state import ShardPool
-from timberjack_ray.state.dedup_index import _make_shard_actor
+from timberjack_ray.aggregates import merge_partials
+from timberjack_ray.state import arrival_fold
+from timberjack_ray.state.dedup_index import _ShardState
+
+_SUMS = ["n_chunks", "n_new_chunks", "new_chars", "dup_chars"]
 
 
-class StreamingChunkDeduper(ShardPool):
+def _chunk_rows(t: pa.Table, col: str, id_col: str) -> pa.Table:
+    """``cdc_chunk_batch`` rows of ``t``, plus one zero-length chunk with a
+    null hash per doc that has no chunks (empty text), so every doc keeps
+    a row."""
+    from timberjack_ray.functions.corpus import cdc_chunk_batch
+
+    chunks = cdc_chunk_batch(t, col=col, id_col=id_col)
+    miss = pc.filter(t[id_col], pc.invert(pc.is_in(
+        t[id_col], value_set=chunks[id_col].combine_chunks())))
+    if len(miss) == 0:
+        return chunks
+    z = pa.array(np.zeros(len(miss), np.int64))
+    return pa.concat_tables([chunks, pa.table({
+        id_col: miss, "chunk_idx": z, "chunk_len": z,
+        "chunk_hash": pa.nulls(len(miss), pa.int64())})])
+
+
+def _tally(chunks: pa.Table, new: np.ndarray, by: str) -> pa.Table:
+    """Per-``by`` sums of n_chunks, n_new_chunks, new_chars, dup_chars."""
+    ln = chunks["chunk_len"].to_numpy()
+    g = pa.table({
+        by: chunks[by],
+        "n_chunks": pa.array((ln > 0).astype(np.int64)),
+        "n_new_chunks": pa.array(new.astype(np.int64)),
+        "new_chars": pa.array(np.where(new, ln, 0).astype(np.int64)),
+        "dup_chars": pa.array(np.where(new, 0, ln).astype(np.int64)),
+    }).group_by(by).aggregate([(c, "sum") for c in _SUMS])
+    return g.rename_columns([by, *_SUMS])
+
+
+class StreamingChunkDeduper(_ShardState):
     """Per-doc chunk-novelty accounting against everything seen so far.
 
     ``account_batch`` CDC-chunks the batch, probes + claims the chunk
-    hashes on the sharded index, and returns one row per input doc:
+    hashes, and returns one row per input doc:
     ``(id_col, n_chunks, n_new_chunks, new_chars, dup_chars)`` —
     ``dup_chars`` is the storage a chunk-dedup ingest would save on this
     doc given the CURRENT index state.
     """
 
-    def __init__(self, n_shards: int = 8, mask_bits: int = 6,
-                 window: int = 16, min_len: int = 16, max_len: int = 512):
-        cls = _make_shard_actor()
-        super().__init__([cls.remote() for _ in range(n_shards)])
-        self.cdc_params = dict(mask_bits=mask_bits, window=window,
-                               min_len=min_len, max_len=max_len)
+    def claim(self, chunks: pa.Table) -> np.ndarray:
+        """True at each chunk whose hash is new; zero-length chunks
+        claim nothing."""
+        real = pc.is_valid(chunks["chunk_hash"]).to_numpy(
+            zero_copy_only=False)
+        new = np.zeros(chunks.num_rows, dtype=bool)
+        h = chunks["chunk_hash"].filter(pa.array(real)).to_numpy()
+        new[real] = self.probe_insert(h.view(np.uint64))
+        return new
 
     def account_batch(self, t: pa.Table, col: str = "text",
                       id_col: str = "doc_id") -> pa.Table:
-        from timberjack_ray.functions.corpus import cdc_chunk_batch
-
-        chunks = cdc_chunk_batch(t, col=col, id_col=id_col,
-                                 **self.cdc_params)
-        h = chunks["chunk_hash"].to_numpy(zero_copy_only=False) \
-            .view(np.uint64)
-        new = np.zeros(len(h), dtype=bool)
-        if len(h):
-            owner = (h % np.uint64(self.n_shards)).astype(np.int64)
-            parts = self._split(owner)
-            refs = [self.shards[s].probe_insert.remote(h[idx])
-                    for s, idx in parts]
-            for (s, idx), mask in zip(parts, self._ray.get(refs)):
-                new[idx] = mask
-        ln = chunks["chunk_len"].to_numpy(zero_copy_only=False)
-        cd = pa.table({
-            id_col: chunks[id_col],
-            "n_chunks": pa.array(np.ones(len(ln), np.int64)),
-            "n_new_chunks": pa.array(new.astype(np.int64)),
-            "new_chars": pa.array(np.where(new, ln, 0).astype(np.int64)),
-            "dup_chars": pa.array(np.where(new, 0, ln).astype(np.int64))})
-        g = cd.group_by(id_col).aggregate(
-            [("n_chunks", "sum"), ("n_new_chunks", "sum"),
-             ("new_chars", "sum"), ("dup_chars", "sum")])
-        g = g.rename_columns([id_col, "n_chunks", "n_new_chunks",
-                              "new_chars", "dup_chars"])
-        # docs with no chunks (empty text) still deserve a zero row
-        missing = _zero_rows_for_missing(t[id_col], g[id_col], id_col)
-        if missing is not None:
-            g = pa.concat_tables([g, missing])
-        return g.sort_by(id_col)
-
-    def index_size(self) -> int:
-        return sum(self._ray.get([s.size.remote() for s in self.shards]))
+        chunks = _chunk_rows(t, col, id_col)
+        return _tally(chunks, self.claim(chunks), id_col).sort_by(id_col)
 
 
-class ChunkNoveltyStage:
-    """``map_batches`` task stage (pass an instance) that probes the sharded
-    chunk index from the TASKS instead of the driver (VERDICT r3 #2): each
-    worker CDC-chunks its batch locally, ships ONLY chunk hashes to the
-    owning shard actors, and emits per-source ``(n_chunks, new_chars,
-    dup_chars)`` partials — document text never crosses the driver, the
-    chunking compute parallelizes, and driver traffic is partial-sized.
+def chunk_novelty(ds, col: str, id_col: str, source_col: str) -> pa.Table:
+    """Per-source ``(n_chunks, new_chars, dup_chars)`` of the ``col`` texts
+    of a document stream arriving in ``id_col`` order: one exchange on the
+    chunk hash over ``(id, chunk_idx, chunk_len, chunk_hash, source)`` rows,
+    first arrival in (id, chunk_idx) order, per-source partials folded by
+    ``merge_partials``.  A source whose docs are all empty keeps a zero
+    row."""
 
-    Determinism: per-source ``n_chunks`` and the GLOBAL new/dup totals
-    are exact and reproducible (a chunk hash is claimed exactly once and
-    same hash ⇒ same length); the per-source new/dup SPLIT of a chunk
-    seen concurrently from two sources follows scheduling order — use
-    the driver-sequenced ``StreamingChunkDeduper.account_batch`` when a
-    replayable per-doc attribution is required (tests/test_state.py).
-    """
+    def chunked(t: pa.Table) -> pa.Table:
+        chunks = _chunk_rows(t, col, id_col)
+        ids = t[id_col].to_numpy()
+        order = np.argsort(ids)
+        pos = order[np.searchsorted(ids[order], chunks[id_col].to_numpy())]
+        return chunks.append_column(source_col, t[source_col].take(pos))
 
-    def __init__(self, shards, cdc_params: dict, source_col: str = "source",
-                 col: str = "text", id_col: str = "doc_id"):
-        self.shards = list(shards)
-        self.n_shards = len(self.shards)
-        self.cdc_params = dict(cdc_params)
-        self.source_col, self.col, self.id_col = source_col, col, id_col
+    def account(t: pa.Table) -> pa.Table:
+        return _tally(t, StreamingChunkDeduper().claim(t), source_col)
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import ray
-
-        from timberjack_ray.functions.corpus import cdc_chunk_batch
-
-        empty = pa.table({self.source_col: pa.array([], pa.string()),
-                          "n_chunks": pa.array([], pa.int64()),
-                          "new_chars": pa.array([], pa.int64()),
-                          "dup_chars": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        chunks = cdc_chunk_batch(t, col=self.col, id_col=self.id_col,
-                                 **self.cdc_params)
-        h = chunks["chunk_hash"].to_numpy(zero_copy_only=False) \
-            .view(np.uint64)
-        new = np.zeros(len(h), dtype=bool)
-        if len(h):
-            owner = (h % np.uint64(self.n_shards)).astype(np.int64)
-            parts = [(s, idx) for s in range(self.n_shards)
-                     if len(idx := np.flatnonzero(owner == s))]
-            refs = [self.shards[s].probe_insert.remote(h[idx])
-                    for s, idx in parts]
-            for (s, idx), mask in zip(parts, ray.get(refs)):
-                new[idx] = mask
-        # chunk row -> source via the batch's unique doc ids
-        bd = t[self.id_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(bd)
-        cid = chunks[self.id_col].to_numpy(zero_copy_only=False)
-        pos = order[np.searchsorted(bd[order], cid)]
-        src_all = t[self.source_col].to_numpy(zero_copy_only=False)
-        ln = chunks["chunk_len"].to_numpy(zero_copy_only=False)
-        # zero rows keep all-empty-doc sources present in the output
-        part = pa.table({
-            self.source_col: pa.array(
-                np.r_[src_all[pos], np.unique(src_all)].astype(object),
-                pa.string()),
-            "n_chunks": pa.array(np.r_[np.ones(len(ln), np.int64),
-                                       np.zeros(len(np.unique(src_all)),
-                                                np.int64)]),
-            "new_chars": pa.array(np.r_[np.where(new, ln, 0),
-                                        np.zeros(len(np.unique(src_all)),
-                                                 np.int64)].astype(np.int64)),
-            "dup_chars": pa.array(np.r_[np.where(new, 0, ln),
-                                        np.zeros(len(np.unique(src_all)),
-                                                 np.int64)].astype(np.int64)),
-        })
-        g = part.group_by(self.source_col).aggregate(
-            [("n_chunks", "sum"), ("new_chars", "sum"),
-             ("dup_chars", "sum")])
-        return g.rename_columns([self.source_col, "n_chunks", "new_chars",
-                                 "dup_chars"])
-
-
-def _zero_rows_for_missing(all_ids, present, id_col: str) -> pa.Table | None:
-    """Zero-stat rows for ids in ``all_ids`` but not ``present``."""
-    import pyarrow.compute as pc
-
-    if isinstance(present, pa.ChunkedArray):
-        present = present.combine_chunks()
-    miss = pc.filter(all_ids,
-                     pc.invert(pc.is_in(all_ids, value_set=present)))
-    if isinstance(miss, pa.ChunkedArray):
-        miss = miss.combine_chunks()
-    if len(miss) == 0:
-        return None
-    z = np.zeros(len(miss), np.int64)
-    return pa.table({id_col: miss, "n_chunks": pa.array(z),
-                     "n_new_chunks": pa.array(z), "new_chars": pa.array(z),
-                     "dup_chars": pa.array(z)})
+    parts = arrival_fold(ds.map_batches(chunked, batch_format="pyarrow"),
+                         ["chunk_hash"], [id_col, "chunk_idx"], account)
+    return merge_partials(parts, [source_col],
+                          ["n_chunks", "new_chars", "dup_chars"])

@@ -1,36 +1,28 @@
-"""Sharded streaming MinHash-LSH index — near-dup detection at INGEST time.
+"""Streaming MinHash-LSH index — near-dup detection at INGEST time.
 
 The batch near-dup path (`functions/dedup.minhash_dedup`) is a groupby over
 all band rows: it needs the corpus before it can bucket.  An incremental
-crawl instead asks, for every arriving micro-batch, "which of these docs is
-a near-duplicate of ANYTHING already ingested?" — a shared mutable bucket
-index, the same actor-tier case as `state/dedup_index` (Dataset operators
-are pure; an index that grows as the stream flows is not).
+crawl instead asks, for every arriving doc, "is this a near-duplicate of
+ANYTHING already ingested?" — a bucket index that grows as the stream
+flows.
 
-Sharding
---------
-Each shard actor owns two maps:
+The index holds two maps:
 
-* ``buckets``: (band, band-hash) → capped int64 id array; ownership by
-  ``bucket_key % n_shards``.  A batch probe inserts the new ids and
-  returns the PRIOR occupants — the LSH candidates.  Degenerate buckets
-  (e.g. every empty doc) are capped at ``max_bucket`` occupants, the same
-  guard as the batch path's ``_pairs_segmented``.
-* ``sigs``: doc id → full MinHash signature; ownership by
-  ``id % n_shards``.  Fetched only for candidate verification, so traffic
-  is O(candidates), not O(docs).
-
-A batch costs TWO parallel actor round-trips (bucket probe+insert, then
-sig fetch+insert).  Memory per shard: its buckets plus num_perm × 8 B per
-owned doc; at cluster scale, hundreds of shards spread the index, and a
-coarser num_perm (or uint32 truncation) halves the sig store.
+* ``buckets``: band key → capped int64 id array.  A probe inserts the new
+  id and returns the PRIOR occupants — the LSH candidates.  Degenerate
+  buckets (e.g. every empty doc) are capped at ``max_bucket`` occupants,
+  the same guard as the batch path's ``_pairs_segmented``.
+* ``sigs``: doc id → full MinHash signature, read only to verify
+  candidates.
 
 Verification is exact on signatures: the emitted ``n_eq`` is the integer
 count of equal components (estimated Jaccard = n_eq / num_perm — the
 division is the consumer's).  Pair semantics: each doc is compared
 against everything seen EARLIER in arrival order — prior batches AND
-earlier rows of the same batch/call (within a call the shard inserts
-row-by-row, so row i probes against rows < i; tests pin both cases).
+earlier rows of the same batch (rows insert one by one, so row i probes
+against rows < i; tests pin both cases).  Every bucket's state depends
+only on its own band key, so ``near_dup_pairs`` runs the index per band
+key bucket over a Dataset (``state.arrival_fold``).
 """
 
 from __future__ import annotations
@@ -39,9 +31,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from timberjack_ray.aggregates import merge_partials
 from timberjack_ray.functions.dedup import (_MERSENNE, _minhash_params,
                                             gram_hashes_batch)
-from timberjack_ray.state import ShardPool
+from timberjack_ray.state import arrival_fold
 
 _FNV = np.uint64(1099511628211)
 
@@ -61,7 +54,7 @@ def _band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
 
 
 class _LshShardState:
-    """Actor-free shard logic (tests fuzz it directly)."""
+    """The band-key buckets and the signature store."""
 
     def __init__(self, max_bucket: int = 64):
         self.buckets: dict[int, np.ndarray] = {}
@@ -97,51 +90,25 @@ class _LshShardState:
         return len(self.sigs)
 
 
-def _make_shard_actor():
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class LshShard:
-        def __init__(self, max_bucket: int):
-            self._s = _LshShardState(max_bucket)
-
-        def probe_insert_buckets(self, keys, ids):
-            return self._s.probe_insert_buckets(keys, ids)
-
-        def put_sigs(self, ids, sigs):
-            return self._s.put_sigs(ids, sigs)
-
-        def get_sigs(self, ids):
-            return self._s.get_sigs(ids)
-
-        def n_docs(self):
-            return self._s.n_docs()
-
-    return LshShard
-
-
-class StreamingNearDup(ShardPool):
-    """Actor-pool front-end: feed Arrow batches, get back the verified
-    near-dup pairs (new doc vs anything ingested earlier — prior batches
-    or earlier rows of the same batch).
+class StreamingNearDup(_LshShardState):
+    """Feed Arrow batches, get back the verified near-dup pairs (new doc
+    vs anything ingested earlier — prior batches or earlier rows of the
+    same batch).
 
     Usage::
 
-        idx = StreamingNearDup(n_shards=8, num_perm=64, bands=16,
+        idx = StreamingNearDup(num_perm=64, bands=16,
                                min_eq=32)          # ≈ Jaccard ≥ 0.5
         for batch in arriving_batches:
             pairs = idx.process_batch(batch)       # (new_id, seen_id, n_eq)
             ...
-        idx.close()
     """
 
-    def __init__(self, n_shards: int = 8, num_perm: int = 64,
-                 bands: int = 16, shingle_k: int = 3, min_eq: int = 32,
+    def __init__(self, num_perm: int = 64, bands: int = 16,
+                 shingle_k: int = 3, min_eq: int = 32,
                  max_bucket: int = 64, seed: int = 7):
         assert num_perm % bands == 0
-        cls = _make_shard_actor()
-        super().__init__([cls.remote(max_bucket)
-                          for _ in range(n_shards)])
+        super().__init__(max_bucket)
         self.num_perm = num_perm
         self.bands = bands
         self.k = shingle_k
@@ -149,75 +116,72 @@ class StreamingNearDup(ShardPool):
         self.a, self.b = _minhash_params(num_perm, seed)
 
     def _signatures(self, texts) -> np.ndarray:
+        if not texts:
+            return np.zeros((0, self.num_perm), np.uint64)
         flat, offsets = gram_hashes_batch(texts, self.k)
         vals = (self.a[:, None] * flat[None, :] + self.b[:, None]) \
             % _MERSENNE
         return np.ascontiguousarray(
             np.minimum.reduceat(vals, offsets[:-1], axis=1).T)
 
+    def probe_pairs(self, keys: np.ndarray,
+                    ids: np.ndarray) -> pd.DataFrame:
+        """Probe+insert each (band key, id) row in order and verify the
+        candidates against the stored signatures: the distinct
+        ``(new_id, seen_id, n_eq)`` pairs with ``n_eq >= min_eq``."""
+        new_ids, seen_ids = np.unique(
+            np.stack(self.probe_insert_buckets(keys, ids)), axis=1)
+        n_eq = (self.get_sigs(new_ids) == self.get_sigs(seen_ids)) \
+            .sum(axis=1).astype(np.int64) if len(new_ids) \
+            else np.zeros(0, np.int64)
+        keep = n_eq >= self.min_eq
+        return pd.DataFrame({"new_id": new_ids[keep],
+                             "seen_id": seen_ids[keep],
+                             "n_eq": n_eq[keep]}).astype("int64")
+
     def process_batch(self, t: pa.Table, col: str = "text",
                       id_col: str = "doc_id") -> pd.DataFrame:
-        empty = pd.DataFrame({"new_id": pd.Series([], dtype="int64"),
-                              "seen_id": pd.Series([], dtype="int64"),
-                              "n_eq": pd.Series([], dtype="int64")})
-        texts = t[col].to_pylist()
-        if not texts:
-            return empty
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        sigs = self._signatures(texts)
-        keys = _band_keys(sigs, self.bands)
+        ids = t[id_col].to_numpy().astype(np.int64)
+        sigs = self._signatures(t[col].to_pylist())
+        self.put_sigs(ids, sigs)
+        keys = _band_keys(sigs, self.bands).reshape(-1).view(np.int64)
+        # doc-major, matching the keys: row i probes against rows < i
+        return self.probe_pairs(keys, np.repeat(ids, self.bands))
 
-        # round 1: bucket probe+insert, sharded by bucket key
-        flat_keys = keys.reshape(-1).view(np.int64)
-        flat_ids = np.repeat(ids, self.bands)  # doc-major, matches keys
-        owner = (flat_keys.view(np.uint64)
-                 % np.uint64(self.n_shards)).astype(np.int64)
-        parts = self._split(owner)
-        refs = [self.shards[s].probe_insert_buckets
-                .remote(flat_keys[idx], flat_ids[idx])
-                for s, idx in parts]
-        cn, cs = [], []
-        for r in self._ray.get(refs):
-            cn.append(r[0])
-            cs.append(r[1])
-        cand = np.unique(np.stack([np.concatenate(cn),
-                                   np.concatenate(cs)]), axis=1) \
-            if cn and len(np.concatenate(cn)) else np.zeros((2, 0),
-                                                            np.int64)
 
-        # round 2 (parallel halves): store new sigs; fetch seen sigs
-        # NOTE ordering: put_sigs is submitted to each shard BEFORE any
-        # get_sigs below; Ray actors execute a caller's messages in
-        # submission order, so an in-batch candidate's signature is
-        # always stored before the verification fetch reads it.
-        id_owner = (ids.view(np.uint64)
-                    % np.uint64(self.n_shards)).astype(np.int64)
-        put_refs = [self.shards[s].put_sigs.remote(ids[idx], sigs[idx])
-                    for s, idx in self._split(id_owner)]
-        new_ids, seen_ids = cand
-        verified = empty
-        if len(new_ids):
-            seen_owner = (seen_ids.view(np.uint64)
-                          % np.uint64(self.n_shards)).astype(np.int64)
-            g_parts = self._split(seen_owner)
-            g_refs = [self.shards[s].get_sigs.remote(seen_ids[idx])
-                      for s, idx in g_parts]
-            seen_sigs = np.zeros((len(seen_ids), self.num_perm),
-                                 np.uint64)
-            for (s, idx), sg in zip(g_parts, self._ray.get(g_refs)):
-                seen_sigs[idx] = sg
-            pos = {int(i): j for j, i in enumerate(ids)}
-            new_sigs = sigs[[pos[int(i)] for i in new_ids]]
-            n_eq = (new_sigs == seen_sigs).sum(axis=1).astype(np.int64)
-            keep = n_eq >= self.min_eq
-            verified = pd.DataFrame({"new_id": new_ids[keep],
-                                     "seen_id": seen_ids[keep],
-                                     "n_eq": n_eq[keep]}) \
-                .astype({"new_id": "int64", "seen_id": "int64",
-                         "n_eq": "int64"})
-        self._ray.get(put_refs)
-        return verified
+def near_dup_pairs(ds, col: str, id_col: str,
+                   order: list[str]) -> pa.Table:
+    """Verified near-dup pairs ``(new_id, seen_id, n_eq)`` of the ``col``
+    texts of a document stream arriving in ``order``: each doc against
+    every earlier doc sharing a band key (``StreamingNearDup`` defaults).
+    One exchange on the band key carries ``(band key, id, order,
+    signature)`` rows; each call runs the LSH index over its buckets in
+    arrival order, and the guarded driver fold keeps each pair once across
+    bands."""
+    idx = StreamingNearDup()
+    cols = list(dict.fromkeys([id_col, *order]))
 
-    def index_docs(self) -> int:
-        return sum(self._ray.get([s.n_docs.remote()
-                                  for s in self.shards]))
+    def banded(t: pa.Table) -> pa.Table:
+        sigs = idx._signatures(t[col].to_pylist())
+        rows = pa.array(np.repeat(np.arange(t.num_rows), idx.bands))
+        return t.select(cols).take(rows).append_column(
+            "__band", pa.array(_band_keys(sigs, idx.bands).reshape(-1)
+                               .view(np.int64))).append_column(
+            "__sig", pa.FixedSizeListArray.from_arrays(
+                pa.array(sigs.reshape(-1), pa.uint64()),
+                idx.num_perm).take(rows))
+
+    def pairs(t: pa.Table) -> pa.Table:
+        ids = t[id_col].to_numpy().astype(np.int64)
+        st = StreamingNearDup()
+        st.put_sigs(ids, t["__sig"].combine_chunks().flatten().to_numpy()
+                    .reshape(-1, idx.num_perm))
+        return pa.Table.from_pandas(
+            st.probe_pairs(t["__band"].to_numpy(), ids),
+            preserve_index=False)
+
+    parts = arrival_fold(ds.map_batches(banded, batch_format="pyarrow"),
+                         ["__band"], order, pairs)
+    out = merge_partials(parts, ["new_id", "seen_id"], "n_eq", ops=["max"])
+    return out if out.num_rows else pa.table(
+        {c: pa.array([], pa.int64()) for c in ("new_id", "seen_id", "n_eq")})

@@ -1,33 +1,30 @@
-"""Sharded quota-admission state — streaming per-group budget enforcement.
+"""Streaming quota admission — per-group budget enforcement in arrival
+order.
 
 `functions/corpus.budget_sample` fills each source's quota after seeing the
 whole corpus (it picks WHICH docs by scrambled-hash order).  At ingest time
 the policy is simpler and harsher: admit arriving docs until their group's
-budget is spent, in ARRIVAL order — a mutable per-group running total that
-must be consistent across concurrent feeders, i.e. actor state (same tier
-as `state/dedup_index`).
+budget is spent, in ARRIVAL order — a running total per group.
 
-Each shard owns the totals for groups with ``hash(group) % n_shards == s``;
-a batch costs one parallel round-trip over the owning shards.  Within a
-call the shard applies its updates atomically and in row order, so a fixed
-arrival order makes admission deterministic and SQL-replayable (an
-inclusive running-sum window) — the oracle-checked contract.
+Updates apply in row order, so a fixed arrival order makes admission
+deterministic and SQL-replayable (an inclusive running-sum window) — the
+oracle-checked contract.  ``quota_admit`` runs the same state per group
+bucket over a Dataset (``state.arrival_fold``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.state import ShardPool
+from timberjack_ray.state import fold_rows
 
 
 class _QuotaShardState:
-    """Actor-free logic: per-group spent totals, PREFIX admission — the
-    first doc that would overflow CLOSES its group (later smaller docs
-    are rejected too), which is exactly the monotone inclusive
-    running-sum-≤-budget window the SQL oracle replays."""
+    """Per-group spent totals, PREFIX admission — the first doc that
+    would overflow CLOSES its group (later smaller docs are rejected
+    too), which is exactly the monotone inclusive running-sum-≤-budget
+    window the SQL oracle replays."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -51,53 +48,23 @@ class _QuotaShardState:
         return dict(self.spent)
 
 
-def _make_shard_actor():
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class QuotaShard:
-        def __init__(self, budget: int):
-            self._s = _QuotaShardState(budget)
-
-        def admit(self, groups, weights):
-            return self._s.admit(groups, weights)
-
-        def totals(self):
-            return self._s.totals()
-
-    return QuotaShard
-
-
-class QuotaAdmitter(ShardPool):
-    """Actor-pool front-end: keep each arriving batch's rows whose group
-    budget is not yet exhausted (inclusive: a doc that exactly fills the
-    budget is admitted; the next one is not — docs are never split)."""
-
-    def __init__(self, budget: int, n_shards: int = 4):
-        cls = _make_shard_actor()
-        super().__init__([cls.remote(budget) for _ in range(n_shards)])
+class QuotaAdmitter(_QuotaShardState):
+    """Keep each arriving batch's rows whose group budget is not yet
+    exhausted (inclusive: a doc that exactly fills the budget is admitted;
+    the next one is not — docs are never split)."""
 
     def filter_batch(self, t: pa.Table, group_col: str,
                      weight_col: str) -> pa.Table:
-        groups = t[group_col].to_pylist()
-        if not groups:
-            return t
-        w = t[weight_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        owner = (pd.util.hash_array(np.asarray(groups, dtype=object))
-                 .astype(np.uint64)
-                 % np.uint64(self.n_shards)).astype(np.int64)
-        keep = np.zeros(len(groups), dtype=bool)
-        parts = self._split(owner)
-        refs = [self.shards[s].admit.remote([groups[i] for i in idx],
-                                            w[idx])
-                for s, idx in parts]
-        for (s, idx), mask in zip(parts, self._ray.get(refs)):
-            keep[idx] = mask
-        return t.filter(pa.array(keep))
+        w = t[weight_col].to_numpy().astype(np.int64)
+        return t.filter(pa.array(self.admit(t[group_col].to_pylist(), w)))
 
-    def totals(self) -> dict:
-        out: dict = {}
-        for d in self._ray.get([s.totals.remote() for s in self.shards]):
-            out.update(d)
-        return out
+
+def quota_admit(ds, group_col: str, weight_col: str, order: list[str],
+                budget: int) -> pa.Table:
+    """The rows of ``ds`` admitted by a ``budget`` per ``group_col`` in
+    ``order`` arrival."""
+
+    def admit(t: pa.Table) -> pa.Table:
+        return QuotaAdmitter(budget).filter_batch(t, group_col, weight_col)
+
+    return fold_rows(ds, None, [group_col], order, admit)

@@ -1,28 +1,26 @@
-"""Sharded streaming heavy-hitters index — Misra-Gries summaries as actors.
+"""Streaming heavy hitters — Misra-Gries summaries.
 
 The batch path already has a Count-Min heavy-hitter query
-(`functions/sketch.py`): one pass over a CLOSED dataset.  An INGEST
+(`functions/sketch.py`): one pass over a CLOSED dataset.  An ingest
 pipeline needs the running top-K over everything seen SO FAR — e.g. "which
-error templates are exploding right now" while the crawl streams in — and
-that running summary is shared mutable state, the actor-tier case.
+error templates are exploding right now" while the crawl streams in.
 
 Design
 ------
-* Keys are SHARDED by stable hash: each shard runs an independent
-  Misra-Gries(k) summary over ITS key subset, so summaries never overlap
-  and shard capacity adds up.  Memory per shard: ≤ k (key, count) slots
-  regardless of stream cardinality.
-* Each batch folds to exact per-key counts first (np.unique — one message
-  per (batch, shard) carrying distinct keys, not instances), then merges
-  into the shard summary by the MERGEABLE-SUMMARIES rule (Agarwal et al.
-  2012, public): sum counts, and past k slots subtract the (k+1)-th
-  largest count from all and drop non-positives, accumulating the
-  subtraction into the shard's error budget.
-* Guarantees (tested): a key with true shard-stream frequency
-  > err_budget is always present; estimates UNDER-count by at most the
-  shard's err_budget, and err_budget ≤ N_shard / (k+1).
+* A Misra-Gries(k) summary holds ≤ k (key, count) slots regardless of
+  stream cardinality.
+* Each batch folds to exact per-key counts first, then merges into the
+  summary by the MERGEABLE-SUMMARIES rule (Agarwal et al. 2012, public):
+  sum counts, and past k slots subtract the (k+1)-th largest count from
+  all and drop non-positives, accumulating the subtraction into the error
+  budget.
+* Guarantees (tested): a key with true frequency > err is always present;
+  estimates UNDER-count by at most err, and err ≤ N / (k+1).
 * Deterministic given batch arrival order (the subtraction depends only
   on fold state, not on within-batch order).
+
+``heavy_hitters`` keeps one summary per key bucket of a Dataset: buckets
+partition the keys, so their summaries never overlap and add up.
 """
 
 from __future__ import annotations
@@ -31,11 +29,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from timberjack_ray.state import ShardPool
+from timberjack_ray.state import fold_rows
 
 
 class _ShardState:
-    """Misra-Gries(k) over this shard's key subset; actor-free for fuzz."""
+    """Misra-Gries(k) over a key stream."""
 
     def __init__(self, k: int) -> None:
         self.k = int(k)
@@ -63,70 +61,61 @@ class _ShardState:
                 self.counts.to_numpy(np.int64), self.err, self.n_seen)
 
 
-def _make_shard_actor():
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class TopKShard:
-        def __init__(self, k: int) -> None:
-            self._s = _ShardState(k)
-
-        def add(self, keys, counts) -> None:
-            self._s.add(keys, counts)
-
-        def summary(self):
-            return self._s.summary()
-
-    return TopKShard
-
-
-class StreamingTopK(ShardPool):
-    """Actor-pool front-end: feed batches of string keys, read the running
-    heavy-hitter table at any point.
+class StreamingTopK(_ShardState):
+    """Feed batches of string keys, read the running heavy-hitter table at
+    any point.
 
     Usage::
 
-        hh = StreamingTopK(n_shards=8, k_per_shard=64)
+        hh = StreamingTopK(k=64)
         for batch in arriving_batches:
             hh.add_keys(word_array)          # np object array / pa.Array
         top = hh.topk(10)                    # (key, n_lo, err) DataFrame
-        hh.close()
 
     ``n_lo`` is the Misra-Gries lower bound; the true count lies in
-    [n_lo, n_lo + err] where err is the owning shard's error budget.
+    [n_lo, n_lo + err].
     """
 
-    def __init__(self, n_shards: int = 8, k_per_shard: int = 64):
-        cls = _make_shard_actor()
-        super().__init__([cls.remote(k_per_shard) for _ in range(n_shards)])
+    def __init__(self, k: int = 64):
+        super().__init__(k)
 
     def add_keys(self, keys) -> None:
         if isinstance(keys, (pa.Array, pa.ChunkedArray)):
             keys = keys.to_numpy(zero_copy_only=False)
         keys = np.asarray(keys, dtype=object)
-        if not len(keys):
-            return
-        uk, cnt = np.unique(keys, return_counts=True)
-        owner = (pd.util.hash_array(uk).astype(np.uint64)
-                 % np.uint64(self.n_shards)).astype(np.int64)
-        refs = [self.shards[s].add.remote(uk[idx], cnt[idx])
-                for s, idx in self._split(owner)]
-        self._ray.get(refs)
+        if len(keys):
+            self.add(*np.unique(keys, return_counts=True))
 
     def topk(self, k: int) -> pd.DataFrame:
-        """Top-k by lower-bound count, (n_lo desc, key asc) tie-break; the
-        per-key ``err`` column is the owning shard's error budget."""
-        frames = []
-        for keys, counts, err, _n in self._ray.get(
-                [s.summary.remote() for s in self.shards]):
-            if len(keys):
-                frames.append(pd.DataFrame(
-                    {"key": keys, "n_lo": counts, "err": err}))
-        if not frames:
-            return pd.DataFrame({"key": pd.Series([], dtype=object),
-                                 "n_lo": pd.Series([], dtype="int64"),
-                                 "err": pd.Series([], dtype="int64")})
-        allf = pd.concat(frames, ignore_index=True)
-        return allf.sort_values(["n_lo", "key"],
-                                ascending=[False, True]).head(k) \
-            .reset_index(drop=True).astype({"n_lo": "int64", "err": "int64"})
+        """Top-k by lower-bound count, (n_lo desc, key asc) tie-break."""
+        top = pd.DataFrame({"key": pd.Series(self.counts.index, dtype=object),
+                            "n_lo": self.counts.to_numpy(np.int64),
+                            "err": np.full(len(self.counts), self.err,
+                                           np.int64)})
+        return _top(top, k)
+
+
+def _top(df: pd.DataFrame, k: int) -> pd.DataFrame:
+    return df.sort_values(["n_lo", "key"], ascending=[False, True]).head(k) \
+        .reset_index(drop=True).astype({"n_lo": "int64", "err": "int64"})
+
+
+def heavy_hitters(ds, col: str, k: int) -> pd.DataFrame:
+    """Top-``k`` values of the string column ``col``: ``(key, n_lo, err)``,
+    one ``StreamingTopK`` per exchange call over the exact counts of its
+    buckets' keys (one add, so arrival order does not matter), ``err``
+    being that call's error budget."""
+
+    def counted(t: pa.Table) -> pa.Table:
+        g = t.group_by(col).aggregate([([], "count_all")])
+        return g.rename_columns(["key", "n"])
+
+    def summarize(t: pa.Table) -> pa.Table:
+        g = t.group_by("key").aggregate([("n", "sum")])
+        hh = StreamingTopK()
+        hh.add(g["key"].to_numpy(zero_copy_only=False),
+               g["n_sum"].to_numpy())
+        return pa.Table.from_pandas(hh.topk(k), preserve_index=False)
+
+    return _top(fold_rows(ds, counted, ["key"], ["key"], summarize)
+                .to_pandas(), k)
